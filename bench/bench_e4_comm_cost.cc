@@ -38,8 +38,8 @@ int main() {
   }
   std::fputs(table.ToString().c_str(), stdout);
   std::printf(
-      "\nNote: our PA pays a fixed confirmation round (DESIGN.md soundness\n"
-      "fix), so its msg/txn exceeds 2PL's by a constant; the load-dependent\n"
-      "component shows up in the back-off rounds column.\n");
+      "\nNote: our PA pays a fixed confirmation round (the soundness fix in\n"
+      "docs/architecture.md), so its msg/txn exceeds 2PL's by a constant;\n"
+      "the load-dependent component shows up in the back-off rounds column.\n");
   return 0;
 }

@@ -1,8 +1,9 @@
 // M1: google-benchmark microbenchmarks of the core data structures: event
 // loop, precedence comparison, queue-manager grant path, WFG cycle
-// detection, Zipf sampling and STL' evaluation.
+// detection, serializability checking, Zipf sampling and STL' evaluation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <variant>
 
@@ -10,6 +11,7 @@
 #include "cc/unified/queue_manager.h"
 #include "common/rng.h"
 #include "deadlock/wfg.h"
+#include "serializability/conflict_graph.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
 #include "stl/evaluator.h"
@@ -90,6 +92,32 @@ void BM_WfgCycleDetection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WfgCycleDetection)->Arg(64)->Arg(512)->Arg(4096);
+
+// The conflict-graph checker against log size: a serial log of
+// records / 2 committed transactions, each reading one of ~records / 8
+// copies and writing another.
+void BM_SerializabilityCheck(benchmark::State& state) {
+  const std::uint64_t records = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t copies = std::max<std::uint64_t>(1, records / 8);
+  ImplementationLog log;
+  CommittedSet committed;
+  for (TxnId t = 1; t <= records / 2; ++t) {
+    log.Append(CopyId{static_cast<ItemId>((t * 7919) % copies), 1}, t, 1,
+               OpType::kRead, 0);
+    log.Append(CopyId{static_cast<ItemId>(t % copies), 1}, t, 1,
+               OpType::kWrite, 0);
+    committed[t] = 1;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ConflictGraphChecker::Check(log, committed));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SerializabilityCheck)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfGenerator zipf(100000, 0.8);

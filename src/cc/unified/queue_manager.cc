@@ -122,6 +122,7 @@ void UnifiedQueueManager::OnRequest(const msg::CcRequest& m) {
       break;
     }
   }
+  TrackOccupancy(q);
   TryGrant(m.copy, q);
 }
 
@@ -147,6 +148,7 @@ void UnifiedQueueManager::OnFinalTs(const msg::FinalTs& m) {
     }
   }
   Insert(q, std::move(entry));
+  TrackOccupancy(q);
   TryGrant(m.copy, q);
 }
 
@@ -284,6 +286,7 @@ void UnifiedQueueManager::OnRelease(const msg::Release& m) {
   }
   ImplementEntry(m.copy, e);
   q.entries.erase(q.entries.begin() + static_cast<std::ptrdiff_t>(idx));
+  TrackOccupancy(q);
   UpgradePass(m.copy, q);
   TryGrant(m.copy, q);
 }
@@ -314,12 +317,37 @@ void UnifiedQueueManager::OnAbort(const msg::AbortTxn& m) {
   if (idx == q.entries.size()) return;
   const bool was_granted = q.entries[idx].granted;
   q.entries.erase(q.entries.begin() + static_cast<std::ptrdiff_t>(idx));
+  TrackOccupancy(q);
   if (was_granted) UpgradePass(m.copy, q);
   TryGrant(m.copy, q);
 }
 
+void UnifiedQueueManager::TrackOccupancy(DataQueue& q) {
+  const bool listed = q.occupied_pos != kUnlisted;
+  if (!q.entries.empty()) {
+    if (!listed) {
+      q.occupied_pos = static_cast<std::uint32_t>(occupied_.size());
+      occupied_.push_back(q.node);
+    }
+    return;
+  }
+  if (!listed) return;
+  const std::uint32_t moved = occupied_.back();
+  occupied_[q.occupied_pos] = moved;
+  queues_.node(moved).value.occupied_pos = q.occupied_pos;
+  occupied_.pop_back();
+  q.occupied_pos = kUnlisted;
+}
+
 void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
-  for (const auto& [copy, q] : queues_) {
+  // Arena order keeps the edge order (and so every wait-for graph and
+  // digest) identical to a walk over all queues; empty queues add no
+  // edges.
+  scan_order_.assign(occupied_.begin(), occupied_.end());
+  std::sort(scan_order_.begin(), scan_order_.end());
+  queues_scanned_ += scan_order_.size();
+  for (const std::uint32_t node : scan_order_) {
+    const DataQueue& q = queues_.node(node).value;
     for (std::size_t i = 0; i < q.entries.size(); ++i) {
       const QueueEntry& e = q.entries[i];
       if (e.granted) {
@@ -328,7 +356,7 @@ void UnifiedQueueManager::CollectWaitEdges(std::vector<WaitEdge>* out) const {
         // part of the wait-for graph too. Without these edges a cycle
         // through a lingering T/O transaction is invisible to the
         // detector (a genuine deadlock the paper's Section 4.2 does not
-        // discuss; see DESIGN.md).
+        // discuss; see docs/architecture.md).
         if (!e.normal) {
           for (const QueueEntry& g : q.entries) {
             if (&g == &e || !g.granted) continue;

@@ -63,6 +63,12 @@ class UnifiedQueueManager : public DataSiteBackend {
   std::uint64_t backoffs_sent() const { return backoffs_sent_; }
   std::uint64_t grants_sent() const { return grants_sent_; }
   std::uint64_t upgrades_sent() const { return upgrades_sent_; }
+  // Queues visited by CollectWaitEdges over all calls so far. Each call
+  // visits exactly the queues holding entries, however many queues were
+  // ever touched.
+  std::uint64_t queues_scanned() const { return queues_scanned_; }
+  // Queues currently holding at least one entry.
+  std::size_t occupied_queues() const { return occupied_.size(); }
 
  private:
   // Per-copy queue state.
@@ -73,9 +79,23 @@ class UnifiedQueueManager : public DataSiteBackend {
     Timestamp hwm = 0;    // biggest timestamp ever seen (2PL assignment)
     std::uint64_t arrival_seq = 0;
     std::uint64_t next_grant_seq = 0;
+    std::uint32_t node = 0;                // arena index in queues_
+    std::uint32_t occupied_pos = kUnlisted;  // index in occupied_
   };
 
-  DataQueue& QueueFor(const CopyId& copy) { return queues_.GetOrCreate(copy); }
+  static constexpr std::uint32_t kUnlisted = 0xffffffffu;
+
+  DataQueue& QueueFor(const CopyId& copy) {
+    const std::uint32_t node = queues_.Intern(copy);
+    DataQueue& q = queues_.node(node).value;
+    q.node = node;
+    return q;
+  }
+
+  // Lists q in occupied_ iff it holds entries: O(1) per empty <-> non-empty
+  // transition (swap-remove on drain). Call after every entry insert or
+  // erase.
+  void TrackOccupancy(DataQueue& q);
 
   // Inserts keeping precedence order; returns entry index.
   std::size_t Insert(DataQueue& q, QueueEntry entry);
@@ -111,6 +131,12 @@ class UnifiedQueueManager : public DataSiteBackend {
   // Open-addressing per-copy queue table; insertion-ordered iteration
   // keeps CollectWaitEdges() and DebugString() deterministic.
   CopyTable<DataQueue> queues_;
+  // Arena indices of the queues holding entries, unordered. The deadlock
+  // detector's CollectWaitEdges walks these (in arena order) instead of
+  // every queue ever touched: queues are never erased.
+  std::vector<std::uint32_t> occupied_;
+  mutable std::vector<std::uint32_t> scan_order_;  // CollectWaitEdges scratch
+  mutable std::uint64_t queues_scanned_ = 0;
 
   std::uint64_t rejects_sent_ = 0;
   std::uint64_t backoffs_sent_ = 0;

@@ -39,7 +39,11 @@ class CopyTable {
 
   // Returns the value for `key`, default-constructing it on first use.
   // The reference is stable across later inserts.
-  T& GetOrCreate(const CopyId& key) {
+  T& GetOrCreate(const CopyId& key) { return nodes_[Intern(key)].value; }
+
+  // The arena index of `key`'s node, creating the node on first use.
+  // Indices are dense, stable, and follow insertion order.
+  std::uint32_t Intern(const CopyId& key) {
     if (slots_.empty()) Rehash(kInitialSlots);
     const std::uint64_t packed = Pack(key);
     const std::uint64_t mask = slots_.size() - 1;
@@ -49,17 +53,21 @@ class CopyTable {
       if (s.node == kNone) {
         if ((nodes_.size() + 1) * 4 > slots_.size() * 3) {
           Rehash(slots_.size() * 2);
-          return GetOrCreate(key);  // one level deep: table now has room
+          return Intern(key);  // one level deep: table now has room
         }
         s.key = packed;
         s.node = static_cast<std::uint32_t>(nodes_.size());
         nodes_.push_back(Node{key, T{}});
-        return nodes_.back().value;
+        return s.node;
       }
-      if (s.key == packed) return nodes_[s.node].value;
+      if (s.key == packed) return s.node;
       i = (i + 1) & mask;
     }
   }
+
+  // The node at arena index `index` (< size()).
+  Node& node(std::uint32_t index) { return nodes_[index]; }
+  const Node& node(std::uint32_t index) const { return nodes_[index]; }
 
   const T* Find(const CopyId& key) const {
     if (slots_.empty()) return nullptr;

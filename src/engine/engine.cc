@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "net/flaky_transport.h"
 #include "net/sharded_transport.h"
+#include "storage/replica_check.h"
 
 namespace unicc {
 
@@ -659,31 +660,27 @@ SerializabilityReport Engine::CheckSerializability() const {
   return ConflictGraphChecker::Check(log_, committed_);
 }
 
-std::uint64_t Engine::ReadCopy(const CopyId& copy) const {
-  const SiteId idx = copy.site - options_.num_user_sites;
+const Store* Engine::StoreAt(SiteId site) const {
+  const SiteId idx = site - options_.num_user_sites;
   UNICC_CHECK(idx < backends_.size());
-  UNICC_CHECK_MSG(backends_[idx] != nullptr,
-                  "copy's site owned by another shard");
-  return backends_[idx]->store().Read(copy);
+  return backends_[idx] == nullptr ? nullptr : &backends_[idx]->store();
 }
 
 std::vector<std::uint64_t> Engine::ReadReplicas(ItemId item) const {
   std::vector<std::uint64_t> out;
   out.reserve(catalog_->replication());
   for (std::uint32_t k = 0; k < catalog_->replication(); ++k) {
-    out.push_back(ReadCopy(catalog_->CopyOf(item, k)));
+    const CopyId copy = catalog_->CopyOf(item, k);
+    const Store* store = StoreAt(copy.site);
+    UNICC_CHECK_MSG(store != nullptr, "copy's site owned by another shard");
+    out.push_back(store->Read(copy));
   }
   return out;
 }
 
 bool Engine::ReplicasConsistent() const {
-  for (ItemId i = 0; i < options_.num_items; ++i) {
-    const std::uint64_t first = ReadCopy(catalog_->CopyOf(i, 0));
-    for (std::uint32_t k = 1; k < catalog_->replication(); ++k) {
-      if (ReadCopy(catalog_->CopyOf(i, k)) != first) return false;
-    }
-  }
-  return true;
+  return CheckReplicas(*catalog_, [this](SiteId s) { return StoreAt(s); })
+      .ok();
 }
 
 std::string Engine::DebugDump() const {

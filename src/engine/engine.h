@@ -26,6 +26,7 @@
 #include "sim/simulator.h"
 #include "storage/catalog.h"
 #include "storage/log.h"
+#include "storage/store.h"
 #include "workload/generator.h"
 #include "workload/stream.h"
 
@@ -133,6 +134,7 @@ class Engine {
   // Reads the value of every copy of `item`; all replicas must agree at
   // quiescence under read-one/write-all.
   std::vector<std::uint64_t> ReadReplicas(ItemId item) const;
+  // The replica-consistency oracle (CheckReplicas) over every data site.
   bool ReplicasConsistent() const;
 
   Simulator& simulator() { return sim_; }
@@ -167,8 +169,8 @@ class Engine {
   // Per-shard summary of a drained run (Run()'s tail, without the event
   // loop).
   RunSummary Summarize() const;
-  // Reads one physical copy; the copy's site must be owned by this shard.
-  std::uint64_t ReadCopy(const CopyId& copy) const;
+  // The store of data site `site`; nullptr when another shard owns it.
+  const Store* StoreAt(SiteId site) const;
   // Non-null iff this engine is a shard (the transport downcast the
   // coordinator uses to inject drained envelopes).
   ShardedTransport* sharded_transport() { return sharded_transport_; }

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "net/sharded_transport.h"
+#include "storage/replica_check.h"
 
 namespace unicc {
 
@@ -189,33 +190,25 @@ SerializabilityReport ShardedEngine::CheckSerializability() const {
   return ConflictGraphChecker::Check(merged_log_, merged_committed_);
 }
 
+const Store* ShardedEngine::StoreAt(SiteId site) const {
+  return engines_[plan_.OwnerOf(site)]->StoreAt(site);
+}
+
 std::vector<std::uint64_t> ShardedEngine::ReadReplicas(ItemId item) const {
   const Catalog& catalog = engines_[0]->catalog();
   std::vector<std::uint64_t> out;
   out.reserve(catalog.replication());
   for (std::uint32_t k = 0; k < catalog.replication(); ++k) {
     const CopyId copy = catalog.CopyOf(item, k);
-    out.push_back(engines_[plan_.OwnerOf(copy.site)]->ReadCopy(copy));
+    out.push_back(StoreAt(copy.site)->Read(copy));
   }
   return out;
 }
 
 bool ShardedEngine::ReplicasConsistent() const {
-  const Catalog& catalog = engines_[0]->catalog();
-  for (ItemId i = 0; i < options_.num_items; ++i) {
-    std::uint64_t first = 0;
-    for (std::uint32_t k = 0; k < catalog.replication(); ++k) {
-      const CopyId copy = catalog.CopyOf(i, k);
-      const std::uint64_t v =
-          engines_[plan_.OwnerOf(copy.site)]->ReadCopy(copy);
-      if (k == 0) {
-        first = v;
-      } else if (v != first) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return CheckReplicas(engines_[0]->catalog(),
+                       [this](SiteId s) { return StoreAt(s); })
+      .ok();
 }
 
 std::uint64_t ShardedEngine::MessagesOfKind(MessageKind k) const {

@@ -66,6 +66,8 @@ class ShardedEngine {
   const ImplementationLog& log() const { return merged_log_; }
   SerializabilityReport CheckSerializability() const;
   std::vector<std::uint64_t> ReadReplicas(ItemId item) const;
+  // The replica-consistency oracle (CheckReplicas) over every shard's
+  // data sites.
   bool ReplicasConsistent() const;
   std::uint64_t MessagesOfKind(MessageKind k) const;
   std::uint64_t TotalEventsRun() const;
@@ -74,6 +76,9 @@ class ShardedEngine {
   std::uint64_t deadlock_victim_count() const;
 
  private:
+  // The store of data site `site`, read from the shard that owns it.
+  const Store* StoreAt(SiteId site) const;
+
   // One barrier generation: workers run their shard up to window_end_.
   void WorkerLoop(std::uint32_t shard);
   void MergeResults();

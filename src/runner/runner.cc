@@ -40,6 +40,12 @@ EngineCallbacks EstimatorCallbacks(ParamEstimator* est) {
 
 namespace {
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 template <typename EngineT, typename KindCountFn>
 RunStats ExtractStatsImpl(EngineT& engine, const RunSummary& summary,
                           KindCountFn&& kind_count) {
@@ -50,7 +56,10 @@ RunStats ExtractStatsImpl(EngineT& engine, const RunSummary& summary,
   out.makespan = summary.makespan;
   out.total_messages = summary.total_messages;
   out.log_records = engine.log().TotalRecords();
+  const auto verify_start = std::chrono::steady_clock::now();
   out.replicas_consistent = engine.ReplicasConsistent();
+  out.serializable = engine.CheckSerializability().serializable;
+  out.verify_s = SecondsSince(verify_start);
   out.committed = summary.committed;
   out.deadlock_victims = summary.deadlock_victims;
   out.reject_restarts = summary.reject_restarts;
@@ -72,7 +81,6 @@ RunStats ExtractStatsImpl(EngineT& engine, const RunSummary& summary,
                             : static_cast<double>(cc_msgs) /
                                   static_cast<double>(summary.committed);
   out.throughput = engine.metrics().ThroughputPerSec(summary.makespan);
-  out.serializable = engine.CheckSerializability().serializable;
   out.shed = engine.metrics().shed();
   out.expired = engine.metrics().expired();
   out.retried = engine.metrics().retried();
@@ -259,10 +267,13 @@ RunReport RunSession::Run() {
       InstallPolicy(s, sharded_engine_->shard(s));
     }
     UNICC_CHECK(sharded_engine_->AddWorkload(*arrivals).ok());
+    const auto run_start = std::chrono::steady_clock::now();
     const RunSummary summary = sharded_engine_->Run();
+    const double run_s = SecondsSince(run_start);
     RunReport report;
     report.summary = summary;
     report.stats = ExtractStats(*sharded_engine_, summary);
+    report.stats.run_s = run_s;
     report.stats.peak_rss_kb = PeakRssKb();
     report.events_run = sharded_engine_->TotalEventsRun();
     report.shards = shards_;
@@ -281,13 +292,16 @@ RunReport RunSession::Run() {
   }
   RunReport report;
   const EngineOptions::WatchdogControls& wd = spec_.engine.watchdog;
+  const auto run_start = std::chrono::steady_clock::now();
   if (wd.run_deadline != 0 || wd.stall_window != 0) {
     report.status = RunWatched(wd);
     report.summary = engine_->Summarize();
   } else {
     report.summary = engine_->Run();
   }
+  const double run_s = SecondsSince(run_start);
   report.stats = ExtractStats(*engine_, report.summary);
+  report.stats.run_s = run_s;
   report.stats.peak_rss_kb = PeakRssKb();
   report.events_run = engine_->simulator().EventsRun();
   report.shards = 1;

@@ -62,6 +62,12 @@ struct RunStats {
   // the platform cannot report it). A high-water mark: in a sweep, a
   // cell's value reflects the largest run up to and including it.
   std::uint64_t peak_rss_kb = 0;
+  // Host wall-clock seconds: the event loop (RunSession::Run only; 0 when
+  // stats are extracted from an engine run elsewhere) and the two
+  // post-run oracles (serializability + replica consistency). Machine-
+  // dependent; never part of a digest.
+  double run_s = 0;
+  double verify_s = 0;
 };
 
 // What to run and how. The pointed-to spec and arrivals must outlive the

@@ -76,6 +76,20 @@ class Store {
     return size_ + (escape_set_ ? 1 : 0);
   }
 
+  // Calls fn(copy, value) for every written copy: probe-array order, then
+  // the escape slot. Stops as soon as fn returns false and returns false
+  // then; true when every copy was visited. Read-only: fn must not write
+  // to this store.
+  template <typename Fn>
+  bool ForEachWritten(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.key == kEmptyKey) continue;
+      if (!fn(Unpack(s.key), s.value)) return false;
+    }
+    if (escape_set_) return fn(Unpack(kEmptyKey), escape_value_);
+    return true;
+  }
+
  private:
   struct Slot {
     std::uint64_t key = kEmptyKey;
@@ -87,6 +101,10 @@ class Store {
 
   static std::uint64_t Pack(const CopyId& c) {
     return (static_cast<std::uint64_t>(c.item) << 32) | c.site;
+  }
+  static CopyId Unpack(std::uint64_t packed) {
+    return CopyId{static_cast<ItemId>(packed >> 32),
+                  static_cast<SiteId>(packed & 0xffffffffu)};
   }
 
   // splitmix64 finalizer (same dispersion rationale as CopyTable).

@@ -15,6 +15,8 @@
 //   I5: every grant respects the rules: a granted 2PL/PA read never
 //       coexists with an earlier-granted unreleased WL/SWL, etc. (spot
 //       checks via the conflict matrix).
+//   I6: the manager's occupied-queue set (what the deadlock detector
+//       walks) holds the queue iff the queue has entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,6 +81,9 @@ void CheckQueueInvariants(const UnifiedQueueManager& qm, const char* step) {
           << step << ": conflicting grant after a waiting entry";
     }
   }
+  // I6: occupancy tracking follows every insert and erase.
+  ASSERT_EQ(qm.occupied_queues(), q.empty() ? 0u : 1u)
+      << step << ": occupied-queue set out of sync";
 }
 
 class QmFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -101,5 +101,49 @@ TEST(SerializabilityTest, WitnessOrderRespectsAllEdges) {
   EXPECT_LT(idx(3), idx(2));
 }
 
+// A forged log of `txns` committed transactions in serial order t = 1, 2,
+// ...: each reads one copy and writes another, appended in t order, so
+// every conflict edge points from a lower t to a higher one.
+ImplementationLog ForgeSerialLog(TxnId txns, CommittedSet* committed) {
+  ImplementationLog log;
+  for (TxnId t = 1; t <= txns; ++t) {
+    log.Append(CopyId{static_cast<ItemId>((t * 7) % 997), 1}, t, 1,
+               OpType::kRead, t);
+    log.Append(CopyId{static_cast<ItemId>(t % 1000), 2}, t, 1,
+               OpType::kWrite, t);
+    (*committed)[t] = 1;
+  }
+  return log;
+}
+
+TEST(SerializabilityTest, BuriedTwoCycleFoundInLargeLog) {
+  constexpr TxnId kTxns = 12000;
+  constexpr TxnId kA = 4001;
+  constexpr TxnId kB = 8002;
+  const CopyId kP{5000, 3};
+  const CopyId kQ{5001, 3};
+
+  CommittedSet committed;
+  ImplementationLog log = ForgeSerialLog(kTxns, &committed);
+  log.Append(kP, kA, 1, OpType::kWrite, kTxns + 1);  // a before b on P
+  log.Append(kP, kB, 1, OpType::kWrite, kTxns + 2);
+  const auto clean = ConflictGraphChecker::Check(log, committed);
+  EXPECT_TRUE(clean.serializable);
+  EXPECT_EQ(clean.num_txns, kTxns);
+
+  log.Append(kQ, kB, 1, OpType::kWrite, kTxns + 3);  // b before a on Q
+  log.Append(kQ, kA, 1, OpType::kWrite, kTxns + 4);
+  const auto report = ConflictGraphChecker::Check(log, committed);
+  EXPECT_FALSE(report.serializable);
+  EXPECT_EQ(report.num_txns, kTxns);
+  EXPECT_TRUE(report.order.empty());
+  // b -> a is the log's only backward edge, so every cycle crosses it.
+  ASSERT_GE(report.cycle.size(), 2u);
+  EXPECT_NE(std::find(report.cycle.begin(), report.cycle.end(), kA),
+            report.cycle.end());
+  EXPECT_NE(std::find(report.cycle.begin(), report.cycle.end(), kB),
+            report.cycle.end());
+}
+
 }  // namespace
 }  // namespace unicc

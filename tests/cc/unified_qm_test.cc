@@ -48,11 +48,12 @@ class QmHarness {
   }
 
   void Request(TxnId txn, OpType op, Protocol proto, Timestamp ts,
-               Timestamp interval = 4, std::uint32_t txn_requests = 1) {
+               Timestamp interval = 4, std::uint32_t txn_requests = 1,
+               CopyId copy = kX) {
     msg::CcRequest m;
     m.txn = txn;
     m.attempt = 1;
-    m.copy = kX;
+    m.copy = copy;
     m.op = op;
     m.proto = proto;
     m.ts = ts;
@@ -62,9 +63,10 @@ class QmHarness {
     transport_->Send(kUserSite, kDataSite, m);
     sim_.RunToCompletion();
   }
-  void Release(TxnId txn, bool has_write = false, std::uint64_t v = 0) {
+  void Release(TxnId txn, bool has_write = false, std::uint64_t v = 0,
+               CopyId copy = kX) {
     transport_->Send(kUserSite, kDataSite,
-                     msg::Release{txn, 1, kX, has_write, v});
+                     msg::Release{txn, 1, copy, has_write, v});
     sim_.RunToCompletion();
   }
   void SemiTransform(TxnId txn, bool has_write = false,
@@ -77,8 +79,8 @@ class QmHarness {
     transport_->Send(kUserSite, kDataSite, msg::FinalTs{txn, 1, kX, ts});
     sim_.RunToCompletion();
   }
-  void Abort(TxnId txn) {
-    transport_->Send(kUserSite, kDataSite, msg::AbortTxn{txn, 1, kX});
+  void Abort(TxnId txn, CopyId copy = kX) {
+    transport_->Send(kUserSite, kDataSite, msg::AbortTxn{txn, 1, copy});
     sim_.RunToCompletion();
   }
 
@@ -195,8 +197,8 @@ TEST(UnifiedQmTest, PaBackoffOfferUsesIntervalFormula) {
 TEST(UnifiedQmTest, MultiRequestPaAwaitsConfirmationBeforeGrant) {
   QmHarness h;
   // A PA request belonging to a 2-request transaction is accepted but must
-  // not be granted until its final timestamp is confirmed (the DESIGN.md
-  // PA-deadlock fix).
+  // not be granted until its final timestamp is confirmed (the PA grant
+  // confirmation of docs/architecture.md).
   h.Request(1, OpType::kWrite, Protocol::kPrecedenceAgreement, 10,
             /*interval=*/4, /*txn_requests=*/2);
   EXPECT_TRUE(h.PaAccepted(1));
@@ -346,7 +348,7 @@ TEST(UnifiedQmTest, WaitEdgesUnderSemiLocks) {
   h.SemiTransform(1, true, 1);
   // T/O read is granted pre-scheduled over the SWL: it can execute, but
   // its *upgrade* (and hence its release) waits on txn 1 — that residual
-  // wait must appear as an edge (DESIGN.md 7b), while grant-blocking
+  // wait must appear as an edge (docs/architecture.md), while grant-blocking
   // edges must not (it is not blocked from executing).
   h.Request(2, OpType::kRead, Protocol::kTimestampOrdering, 20);
   // 2PL read waits on the SWL for its grant.
@@ -362,6 +364,51 @@ TEST(UnifiedQmTest, WaitEdgesUnderSemiLocks) {
   }
   EXPECT_TRUE(found_3_waits_1);
   EXPECT_TRUE(found_2_waits_1);
+}
+
+TEST(UnifiedQmTest, DetectorScansOnlyOccupiedQueues) {
+  QmHarness h;
+  const auto copy = [](ItemId i) { return CopyId{i, kDataSite}; };
+  const auto write_2pl = [&](TxnId txn, ItemId i) {
+    h.Request(txn, OpType::kWrite, Protocol::kTwoPhaseLocking, 0, 4, 1,
+              copy(i));
+  };
+  // 500 queues touched and drained again (release and abort paths).
+  for (ItemId i = 0; i < 500; ++i) {
+    write_2pl(1000 + i, i);
+    if (i % 2 == 0) {
+      h.Release(1000 + i, false, 0, copy(i));
+    } else {
+      h.Abort(1000 + i, copy(i));
+    }
+  }
+  EXPECT_EQ(h.qm().occupied_queues(), 0u);
+  std::vector<WaitEdge> edges;
+  h.qm().CollectWaitEdges(&edges);
+  EXPECT_TRUE(edges.empty());
+  EXPECT_EQ(h.qm().queues_scanned(), 0u);
+
+  // Five contended queues: on item j, txn 100 + j holds and 200 + j waits.
+  for (ItemId j = 0; j < 5; ++j) {
+    write_2pl(100 + j, j);
+    write_2pl(200 + j, j);
+  }
+  // Drain item 1, then refill it: it rejoins the occupied set last but
+  // keeps its arena (first-touch) position.
+  h.Release(100 + 1, false, 0, copy(1));
+  h.Release(200 + 1, false, 0, copy(1));
+  EXPECT_EQ(h.qm().occupied_queues(), 4u);
+  write_2pl(101, 1);
+  write_2pl(201, 1);
+  ASSERT_EQ(h.qm().occupied_queues(), 5u);
+
+  h.qm().CollectWaitEdges(&edges);
+  EXPECT_EQ(h.qm().queues_scanned(), 5u);
+  ASSERT_EQ(edges.size(), 5u);
+  for (TxnId j = 0; j < 5; ++j) {
+    EXPECT_EQ(edges[j].waiter, 200 + j);  // arena order, not list order
+    EXPECT_EQ(edges[j].holder, 100 + j);
+  }
 }
 
 TEST(UnifiedQmTest, GrantValueCarriesStoreContents) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_map>
 
 #include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/log.h"
+#include "storage/replica_check.h"
 #include "storage/store.h"
 
 namespace unicc {
@@ -139,6 +141,170 @@ TEST(StoreTest, GrowsPastInitialCapacity) {
   for (std::uint32_t i = 0; i < 1000; ++i) {
     EXPECT_EQ(s.Read(CopyId{i, i % 13}), i + 1);
   }
+}
+
+TEST(StoreTest, ForEachWrittenVisitsEveryWrittenCopyOnce) {
+  Store s;
+  std::map<std::pair<ItemId, SiteId>, std::uint64_t> want;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    s.Write(CopyId{i, i % 7}, i);
+    want[{i, i % 7}] = i;
+  }
+  s.Write(CopyId{0xffffffffu, 0xffffffffu}, 5);  // escape slot
+  want[{0xffffffffu, 0xffffffffu}] = 5;
+  std::map<std::pair<ItemId, SiteId>, std::uint64_t> seen;
+  EXPECT_TRUE(s.ForEachWritten([&](const CopyId& c, std::uint64_t v) {
+    EXPECT_TRUE(seen.emplace(std::make_pair(c.item, c.site), v).second);
+    return true;
+  }));
+  EXPECT_EQ(seen, want);
+
+  int visits = 0;
+  EXPECT_FALSE(s.ForEachWritten([&](const CopyId&, std::uint64_t) {
+    return ++visits < 3;
+  }));
+  EXPECT_EQ(visits, 3);
+}
+
+// Hand-built data sites for the replica oracle: one Store per site of the
+// catalog (plus any extra site a test writes to).
+class ReplicaFixture {
+ public:
+  ReplicaFixture(ItemId items, std::vector<SiteId> sites,
+                 std::uint32_t replication)
+      : catalog_(Catalog::Make(items, std::move(sites), replication).value()) {
+    for (SiteId s : catalog_.data_sites()) stores_[s];
+  }
+
+  const Catalog& catalog() const { return catalog_; }
+  Store& at(SiteId site) { return stores_[site]; }
+
+  // Writes `value` to every replica of `item`, as a committed write does.
+  void WriteAll(ItemId item, std::uint64_t value) {
+    for (std::uint32_t k = 0; k < catalog_.replication(); ++k) {
+      const CopyId c = catalog_.CopyOf(item, k);
+      stores_[c.site].Write(c, value);
+    }
+  }
+
+  Status Check() const {
+    return CheckReplicas(catalog_, [this](SiteId s) -> const Store* {
+      const auto it = stores_.find(s);
+      return it == stores_.end() ? nullptr : &it->second;
+    });
+  }
+
+  // The full-keyspace loop the oracle replaces: every replica of every
+  // item must read the same value.
+  bool ReferenceConsistent() const {
+    for (ItemId i = 0; i < catalog_.num_items(); ++i) {
+      const CopyId first = catalog_.CopyOf(i, 0);
+      const std::uint64_t v = stores_.at(first.site).Read(first);
+      for (std::uint32_t k = 1; k < catalog_.replication(); ++k) {
+        const CopyId c = catalog_.CopyOf(i, k);
+        if (stores_.at(c.site).Read(c) != v) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  Catalog catalog_;
+  std::map<SiteId, Store> stores_;
+};
+
+TEST(ReplicaCheckTest, UnwrittenAndFullyReplicatedWritesPass) {
+  ReplicaFixture f(12, {4, 5, 6}, 2);
+  EXPECT_TRUE(f.Check().ok());
+  for (ItemId i = 0; i < 12; i += 3) f.WriteAll(i, 100 + i);
+  f.WriteAll(7, 0);  // a written 0 equals the unwritten default
+  EXPECT_TRUE(f.Check().ok()) << f.Check().ToString();
+}
+
+TEST(ReplicaCheckTest, DivergentReplicasFail) {
+  ReplicaFixture f(12, {4, 5, 6}, 2);
+  f.WriteAll(3, 8);
+  const CopyId c = f.catalog().CopyOf(3, 1);
+  f.at(c.site).Write(c, 9);
+  const Status st = f.Check();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("copy(3@"), std::string::npos) << st.message();
+}
+
+TEST(ReplicaCheckTest, ItemWrittenOnOneCopyFails) {
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    ReplicaFixture f(12, {4, 5, 6, 7}, 3);
+    f.WriteAll(2, 1);
+    const CopyId c = f.catalog().CopyOf(5, k);
+    f.at(c.site).Write(c, 42);
+    EXPECT_FALSE(f.Check().ok()) << "copy " << k;
+  }
+}
+
+TEST(ReplicaCheckTest, WriteOutsidePlacementFails) {
+  // Item 0's two replicas live at sites 4 and 5; site 6 holds none.
+  ReplicaFixture f(12, {4, 5, 6}, 2);
+  f.WriteAll(0, 3);
+  f.at(6).Write(CopyId{0, 6}, 3);
+  EXPECT_FALSE(f.Check().ok());
+}
+
+TEST(ReplicaCheckTest, CopyFiledUnderAnotherSiteFails) {
+  ReplicaFixture f(12, {4, 5, 6}, 2);
+  f.WriteAll(0, 3);
+  // Site 4's copy of item 0, in the store of site 5 (which holds the
+  // item's other replica): placement and values alike look right.
+  f.at(5).Write(CopyId{0, 4}, 3);
+  EXPECT_FALSE(f.Check().ok());
+}
+
+TEST(ReplicaCheckTest, OutOfRangeItemFails) {
+  ReplicaFixture f(12, {4, 5, 6}, 2);
+  // Item 12 is one past the keyspace; its would-be replicas agree, so
+  // only the range check can catch it.
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const CopyId c{12, f.catalog().data_sites()[(12 + k) % 3]};
+    f.at(c.site).Write(c, 6);
+  }
+  EXPECT_FALSE(f.Check().ok());
+
+  ReplicaFixture g(12, {4, 5, 6}, 2);
+  g.at(4).Write(CopyId{0xffffffffu, 0xffffffffu}, 6);  // escape slot
+  EXPECT_FALSE(g.Check().ok());
+}
+
+TEST(ReplicaCheckTest, MatchesFullKeyspaceLoopOnRandomWriteSets) {
+  Rng rng(20261017);
+  int consistent = 0;
+  int divergent = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    const ItemId items = static_cast<ItemId>(rng.UniformRange(1, 40));
+    const std::uint32_t num_sites =
+        static_cast<std::uint32_t>(rng.UniformRange(1, 5));
+    const std::uint32_t replication =
+        static_cast<std::uint32_t>(rng.UniformRange(1, num_sites));
+    std::vector<SiteId> sites;
+    for (std::uint32_t s = 0; s < num_sites; ++s) sites.push_back(3 + 2 * s);
+    ReplicaFixture f(items, sites, replication);
+    const int writes = static_cast<int>(rng.UniformInt(12));
+    for (int w = 0; w < writes; ++w) {
+      const ItemId item = static_cast<ItemId>(rng.UniformInt(items));
+      const std::uint64_t value = rng.UniformInt(3);  // collisions likely
+      if (rng.Bernoulli(0.7)) {
+        f.WriteAll(item, value);
+      } else {
+        const CopyId c = f.catalog().CopyOf(
+            item, static_cast<std::uint32_t>(rng.UniformInt(replication)));
+        f.at(c.site).Write(c, value);
+      }
+    }
+    const bool want = f.ReferenceConsistent();
+    ASSERT_EQ(f.Check().ok(), want) << "draw " << draw;
+    (want ? consistent : divergent)++;
+  }
+  // Both outcomes must be exercised for the agreement to mean anything.
+  EXPECT_GT(consistent, 50);
+  EXPECT_GT(divergent, 50);
 }
 
 TEST(LogTest, AppendsInSequenceOrder) {

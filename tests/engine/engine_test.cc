@@ -187,7 +187,8 @@ TEST(EngineTest, ProbeDetectorAlsoResolvesDeadlocks) {
 // The unified enforcement (semi-locks) must keep every interleaving
 // serializable; this replays the scenario across many seeds and timings
 // under both deadlock detectors. Seed 23 with the central detector is the
-// regression for the lingering-transaction deadlock of DESIGN.md 7b.
+// regression for the lingering-transaction deadlock (docs/architecture.md,
+// "Pre-scheduled waits are wait-for edges").
 struct PaperExampleCase {
   std::uint64_t seed;
   DetectorKind detector;

@@ -418,8 +418,9 @@ std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
 // path. `scale_main = false` runs the scenario as authored (multi-class
 // scenarios have no "main" to scale; the macro kernel's signal comes from
 // its size, not a txn multiplier). Every arrival is eventually admitted
-// (the MPL cap only delays), so committed must equal the spec's total and
-// both digests are machine-independent.
+// (the MPL cap only delays), so committed must equal the spec's total, the
+// run must pass both oracles (serializable, replicas consistent), and both
+// digests are machine-independent.
 KernelResult KernelScenarioRun(const char* name, bool stream,
                                const std::string& path, std::uint64_t txns,
                                std::uint64_t* digest, bool* ok,
@@ -451,13 +452,15 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   *digest = DigestStats(stats);
-  if (stats.committed != expected || !stats.serializable) {
+  if (stats.committed != expected || !stats.serializable ||
+      !stats.replicas_consistent) {
     std::fprintf(stderr,
                  "perf_gate: %s run is broken (committed=%llu/%llu, "
-                 "serializable=%s)\n",
+                 "serializable=%s, replicas_consistent=%s)\n",
                  name, static_cast<unsigned long long>(stats.committed),
                  static_cast<unsigned long long>(expected),
-                 stats.serializable ? "yes" : "no");
+                 stats.serializable ? "yes" : "no",
+                 stats.replicas_consistent ? "yes" : "no");
     *ok = false;
   }
   return r;
@@ -466,8 +469,9 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
 // Overload kernel: the bounded-admission scenario as authored (2x offered
 // load, deadline shedding, one retry round). Unlike the other scenario
 // kernels, shed work never commits, so committed < txns by design; the
-// run is instead required to actually shed and to stay serializable, and
-// its digest (DigestOverloadStats) pins every overload counter exactly.
+// run is instead required to actually shed and to stay serializable and
+// replica-consistent, and its digest (DigestOverloadStats) pins every
+// overload counter exactly.
 KernelResult KernelOverloadRun(const std::string& path,
                                std::uint64_t* digest, bool* ok) {
   KernelResult r;
@@ -485,12 +489,14 @@ KernelResult KernelOverloadRun(const std::string& path,
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   *digest = DigestOverloadStats(stats);
-  if (stats.shed == 0 || !stats.serializable) {
+  if (stats.shed == 0 || !stats.serializable ||
+      !stats.replicas_consistent) {
     std::fprintf(stderr,
                  "perf_gate: overload_run is broken (shed=%llu, "
-                 "serializable=%s)\n",
+                 "serializable=%s, replicas_consistent=%s)\n",
                  static_cast<unsigned long long>(stats.shed),
-                 stats.serializable ? "yes" : "no");
+                 stats.serializable ? "yes" : "no",
+                 stats.replicas_consistent ? "yes" : "no");
     *ok = false;
   }
   return r;

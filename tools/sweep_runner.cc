@@ -310,6 +310,12 @@ bool WriteReport(const std::string& id, const std::string& description,
     // largest run up to and including it (cells run in job order).
     std::fprintf(f, "      \"peak_rss_kb\": %llu,\n",
                  static_cast<unsigned long long>(s.peak_rss_kb));
+    // Host seconds in the event loop and in the post-run oracles; unlike
+    // every other field they vary from run to run.
+    std::fprintf(f, "      \"run_s\": %.6f,\n", s.run_s);
+    std::fprintf(f, "      \"verify_s\": %.6f,\n", s.verify_s);
+    std::fprintf(f, "      \"replicas_consistent\": %s,\n",
+                 s.replicas_consistent ? "true" : "false");
     std::fprintf(f, "      \"serializable\": %s\n",
                  s.serializable ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 == cell_params.size() ? "" : ",");
