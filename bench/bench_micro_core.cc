@@ -1,6 +1,7 @@
 // M1: google-benchmark microbenchmarks of the core data structures: event
 // loop, precedence comparison, queue-manager grant path, WFG cycle
-// detection, serializability checking, Zipf sampling and STL' evaluation.
+// detection, serializability checking, Zipf sampling, STL' evaluation and
+// the per-protocol STL mixtures.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "serializability/conflict_graph.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
+#include "stl/estimators.h"
 #include "stl/evaluator.h"
 #include "storage/log.h"
 #include "workload/zipf.h"
@@ -139,7 +141,52 @@ void BM_StlEvaluate(benchmark::State& state) {
     benchmark::DoNotOptimize(ev.Evaluate(10, 0.2));
   }
 }
-BENCHMARK(BM_StlEvaluate)->Arg(16)->Arg(48)->Arg(128);
+BENCHMARK(BM_StlEvaluate)->Arg(16)->Arg(32)->Arg(48)->Arg(128);
+
+// A selector-shaped STL' input: the selector's 32-point grid, a lock hold
+// of tens of milliseconds, and λ_new sized so that escalating from the
+// transaction's own loss Λ_t = 20 to saturation takes `levels` levels (the
+// min-STL benchmark workload averages ~150, at most ~450).
+SystemParams SelectorShapedSys(int levels) {
+  SystemParams sys;
+  sys.lambda_a = 400;
+  sys.q_r = 0.7;
+  sys.k_avg = 6;
+  const double lnew = (sys.lambda_a - 20) / (levels - 0.5);
+  sys.lambda_w = 0.4 * lnew;
+  sys.lambda_r = 0.6 * lnew / (1 - sys.q_r);
+  return sys;
+}
+
+void BM_StlEvaluateSelectorShaped(benchmark::State& state) {
+  const StlEvaluator ev(SelectorShapedSys(static_cast<int>(state.range(0))),
+                        32);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ev.Evaluate(20, 0.03));
+  }
+}
+BENCHMARK(BM_StlEvaluateSelectorShaped)->Arg(150)->Arg(450);
+
+// One selector refresh: the three protocol mixtures on one snapshot. With
+// arg 0 every abort/reject probability is zero, so each mixture evaluates
+// only its success branch; with arg 1 all six STL' evaluations run.
+void BM_StlMixtures(benchmark::State& state) {
+  const StlEvaluator ev(SelectorShapedSys(150), 32);
+  const TxnShape shape{4, 2};
+  ProtocolParams p;
+  p.u_lock = 0.03;
+  p.u_lock_aborted = 0.012;
+  if (state.range(0) != 0) {
+    p.p_abort = 0.02;
+    p.p_reject_read = 0.01;
+    p.p_reject_write = 0.03;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Stl2pl(ev, shape, p) + StlTo(ev, shape, p) +
+                             StlPa(ev, shape, p));
+  }
+}
+BENCHMARK(BM_StlMixtures)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace unicc

@@ -14,11 +14,21 @@ namespace unicc {
 
 namespace {
 
-// Points error messages at the offending file location. Entries injected
-// programmatically (IniFile::Set, e.g. sweep overrides) have no line.
-std::string Where(const IniEntry& e) {
-  if (e.line > 0) return "line " + std::to_string(e.line) + ": ";
+// Points error messages at the offending file location. Entries and
+// sections injected programmatically (IniFile::Set, e.g. sweep or --set
+// overrides) have no line.
+std::string Where(int line) {
+  if (line > 0) return "line " + std::to_string(line) + ": ";
   return "override: ";
+}
+
+std::string Where(const IniEntry& e) { return Where(e.line); }
+
+// "[class NAME] (line N): " or, for a section an override created,
+// "[class NAME] (override): ".
+std::string SectionWhere(const std::string& header, int line) {
+  return "[" + header + "] (" +
+         (line > 0 ? "line " + std::to_string(line) : "override") + "): ";
 }
 
 Status BadValue(const IniEntry& e, const std::string& what) {
@@ -371,9 +381,8 @@ Status ParseTableSection(const IniSection& sec, const std::string& name,
     }
   }
   if (!saw_rows) {
-    return Status::InvalidArgument("[table " + name + "] (line " +
-                                   std::to_string(sec.line) +
-                                   "): missing 'rows'");
+    return Status::InvalidArgument(SectionWhere("table " + name, sec.line) +
+                                   "missing 'rows'");
   }
   return Status::OK();
 }
@@ -498,8 +507,7 @@ Status ParseClassSection(const IniSection& sec, const std::string& name,
                                      e.key + "'");
     }
   }
-  const std::string where =
-      "[class " + name + "] (line " + std::to_string(sec.line) + "): ";
+  const std::string where = SectionWhere("class " + name, sec.line);
   if (!saw_txns) return Status::InvalidArgument(where + "missing 'txns'");
   if (!saw_rate) return Status::InvalidArgument(where + "missing 'rate'");
   if (c->arrival == ScenarioClass::ArrivalKind::kOnOff) {
@@ -561,9 +569,8 @@ Status ParsePhaseSection(const IniSection& sec, const std::string& name,
     ph->overrides.push_back(std::move(o));
   }
   if (!saw_start) {
-    return Status::InvalidArgument("[phase " + name + "] (line " +
-                                   std::to_string(sec.line) +
-                                   "): missing 'start_ms'");
+    return Status::InvalidArgument(SectionWhere("phase " + name, sec.line) +
+                                   "missing 'start_ms'");
   }
   return Status::OK();
 }
@@ -704,8 +711,7 @@ Status ValidateTimeline(const ScenarioSpec& spec) {
   bool first = true;
   SimTime prev = 0;
   for (const ScenarioPhase& ph : spec.phases) {
-    const std::string where =
-        "[phase " + ph.name + "] (line " + std::to_string(ph.line) + "): ";
+    const std::string where = SectionWhere("phase " + ph.name, ph.line);
     if (!first && ph.start <= prev) {
       return Status::InvalidArgument(
           where + "start_ms must strictly increase across phases");
@@ -766,8 +772,7 @@ Status ResolveTables(ScenarioSpec* spec, bool saw_items) {
   constexpr std::uint64_t kMaxItems = std::numeric_limits<ItemId>::max();
   std::uint64_t next = 0;
   for (ScenarioTable& t : spec->tables) {
-    const std::string where =
-        "[table " + t.name + "] (line " + std::to_string(t.line) + "): ";
+    const std::string where = SectionWhere("table " + t.name, t.line);
     std::uint64_t rows = t.rows;
     if (t.scale) {
       if (rows > kMaxItems / spec->scale_factor) {
@@ -913,8 +918,8 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
       std::string name = sec.name.substr(sizeof(kClassPrefix) - 1);
       for (const ScenarioClass& c : spec.classes) {
         if (c.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate class '" + name + "'");
+          return Status::InvalidArgument(Where(sec.line) +
+                                         "duplicate class '" + name + "'");
         }
       }
       ScenarioClass c;
@@ -924,8 +929,8 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
       std::string name = sec.name.substr(sizeof(kPhasePrefix) - 1);
       for (const ScenarioPhase& p : spec.phases) {
         if (p.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate phase '" + name + "'");
+          return Status::InvalidArgument(Where(sec.line) +
+                                         "duplicate phase '" + name + "'");
         }
       }
       ScenarioPhase ph;
@@ -935,8 +940,8 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
       std::string name = sec.name.substr(sizeof(kTablePrefix) - 1);
       for (const ScenarioTable& t : spec.tables) {
         if (t.name == name) {
-          return Status::InvalidArgument("line " + std::to_string(sec.line) +
-                                         ": duplicate table '" + name + "'");
+          return Status::InvalidArgument(Where(sec.line) +
+                                         "duplicate table '" + name + "'");
         }
       }
       ScenarioTable t;
@@ -944,7 +949,7 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromIni(const IniFile& ini) {
       spec.tables.push_back(std::move(t));
     } else {
       return Status::InvalidArgument(
-          "line " + std::to_string(sec.line) + ": unknown section [" +
+          Where(sec.line) + "unknown section [" +
           sec.name +
           "] (expected scenario/engine/policy/topology/fault/run/"
           "table NAME/class NAME/phase NAME)");

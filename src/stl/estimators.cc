@@ -25,6 +25,8 @@ double Stl2pl(const StlEvaluator& ev, TxnShape shape,
   const double pa = ClampProb(p.p_abort);
   // STL = (1-PA)·STL'(Λt,U) + PA·(STL + STL'(Λt,U')); solve for STL.
   const double success = ev.Evaluate(lt, p.u_lock);
+  // Evaluate is finite, so a zero-weight branch adds exactly +0.
+  if (pa == 0) return success;
   const double aborted = ev.Evaluate(lt, p.u_lock_aborted);
   return ((1 - pa) * success + pa * aborted) / (1 - pa);
 }
@@ -48,6 +50,7 @@ double StlTo(const StlEvaluator& ev, TxnShape shape,
   }
   const double ps_safe = std::max(ps, 0.05);
   const double success = ev.Evaluate(lt, p.u_lock);
+  if (ps == 1) return success;  // see Stl2pl
   const double rejected = ev.Evaluate(lt_star, p.u_lock_aborted);
   // STL = ps·S'(Λt,U) + (1-ps)(S'(Λ*,U') + STL); solve for STL.
   return (ps_safe * success + (1 - ps_safe) * rejected) / ps_safe;
@@ -69,6 +72,7 @@ double StlPa(const StlEvaluator& ev, TxnShape shape,
     lt_dag = std::clamp(lt_dag, 0.0, sys.lambda_a);
   }
   const double success = ev.Evaluate(lt, p.u_lock);
+  if (ps == 1) return success;  // see Stl2pl
   const double backed_off = ev.Evaluate(lt_dag, p.u_lock_aborted);
   // PA backs off at most once (Lemma 1): non-recursive mixture.
   return ps * success + (1 - ps) * (backed_off + success);

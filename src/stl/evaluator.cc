@@ -60,27 +60,35 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
     const double l = std::min(lambda_loss + n * lnew, la);
     const double b = LambdaBlock(l);
     cur[0] = 0;
-    const double ebh = std::exp(-b * h);
-    // c = \int_0^h b*y*e^{-by} dy / h, normalized slope weight.
-    const double c =
-        b > 1e-12 ? (1 - ebh * (1 + b * h)) / (b * h) : 0.0;
+    // No-block branch.
     for (int i = 1; i < m; ++i) {
       const double u = static_cast<double>(i) * h;
-      // No-block branch.
-      double v = std::exp(-b * u) * l * u;
-      if (b > 1e-12) {
-        double ej = 1.0;  // e^{-b x_j}
-        for (int j = 0; j < i; ++j) {
-          const double x0 = static_cast<double>(j) * h;
-          const double g0 = l * x0 + above[i - j];
-          const double g1 = l * (x0 + h) + above[i - j - 1];
-          v += g0 * (ej - ej * ebh) + (g1 - g0) * ej * c;
-          ej *= ebh;
-        }
-      }
-      cur[i] = v;
+      cur[i] = std::exp(-b * u) * l * u;
     }
-    above = cur;
+    if (b > 1e-12) {
+      const double ebh = std::exp(-b * h);
+      // c = \int_0^h b*y*e^{-by} dy / h, normalized slope weight.
+      const double c = (1 - ebh * (1 + b * h)) / (b * h);
+      // Interval j contributes to every grid point i > j. Sweeping j in the
+      // outer loop builds its weights once per level and adds each cur[i]'s
+      // terms in ascending j, the same order as an i-outer sweep; the
+      // independent cur[i] accumulators let the inner loop vectorize
+      // without reassociating any sum.
+      double ej = 1.0;  // e^{-b x_j}
+      for (int j = 0; j + 1 < m; ++j) {
+        const double x0 = static_cast<double>(j) * h;
+        const double lx0 = l * x0;
+        const double lx1 = l * (x0 + h);
+        const double w0 = ej - ej * ebh;
+        for (int i = j + 1; i < m; ++i) {
+          const double g0 = lx0 + above[i - j];
+          const double g1 = lx1 + above[i - j - 1];
+          cur[i] += g0 * w0 + (g1 - g0) * ej * c;
+        }
+        ej *= ebh;
+      }
+    }
+    above.swap(cur);
   }
   if (levels == 0) {
     // No escalation: pure deterministic loss.

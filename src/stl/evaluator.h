@@ -15,7 +15,12 @@
 //
 // The DP discretizes U on a uniform grid and sweeps loss levels downward
 // from the saturated level, computing each level's convolution against the
-// level above it.
+// level above it. Within a level the sweep runs over grid intervals j
+// (outer) and grid points i > j (inner): interval j's geometric weights
+// are built once, and every grid point still adds its terms in ascending
+// j, so the result is bit-for-bit that of the point-outer formulation
+// (tests/stl/stl_test.cc keeps it as the reference) while the independent
+// per-point sums vectorize.
 #ifndef UNICC_STL_EVALUATOR_H_
 #define UNICC_STL_EVALUATOR_H_
 

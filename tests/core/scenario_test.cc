@@ -233,6 +233,31 @@ TEST(ScenarioSpecTest, RequiresClassesAndMandatoryKeys) {
                    .ok());
 }
 
+// A section that only an override (IniFile::Set, as --set or a sweep axis
+// does) created has no source line; its diagnostics say "override".
+TEST(ScenarioSpecTest, OverrideCreatedClassReportsOverride) {
+  auto parsed = IniFile::Parse("[class c]\ntxns = 5\nrate = 10\n");
+  ASSERT_TRUE(parsed.ok());
+  IniFile ini = *parsed;
+  ini.Set("class extra", "rate", "10");
+  auto spec = ScenarioSpec::FromIni(ini);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message(),
+            "[class extra] (override): missing 'txns'");
+}
+
+TEST(ScenarioSpecTest, OverrideCreatedTableReportsOverride) {
+  auto parsed = IniFile::Parse(
+      "[table t]\nrows = 10\n[class c]\ntxns = 5\nrate = 10\n");
+  ASSERT_TRUE(parsed.ok());
+  IniFile ini = *parsed;
+  ini.Set("table extra", "scale", "false");
+  auto spec = ScenarioSpec::FromIni(ini);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().message(),
+            "[table extra] (override): missing 'rows'");
+}
+
 TEST(ScenarioSpecTest, PureBackendRequiresMatchingFixedPolicy) {
   const char* base =
       "[engine]\nbackend = pure\nprotocol = to\ndetector = none\n"

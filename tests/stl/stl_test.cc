@@ -1,12 +1,128 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "stl/estimators.h"
 #include "stl/evaluator.h"
 
 namespace unicc {
 namespace {
+
+// --- Bit-identity references ---------------------------------------------
+// Verbatim copies of the straightforward STL' kernel (grid point i outer,
+// interval j inner, weights rebuilt per i) and of the mixtures that always
+// evaluate both branches. The optimized StlEvaluator::Evaluate and
+// Stl2pl / StlTo / StlPa must return the very same doubles, bit for bit,
+// so that no min-STL decision can change.
+
+double RefEvaluate(const StlEvaluator& ev, int grid_points,
+                   double lambda_loss, double u_seconds) {
+  if (u_seconds == 0) return 0;
+  const double la = ev.params().lambda_a;
+  if (lambda_loss >= la) return la * u_seconds;
+
+  const double lnew = ev.LambdaNew();
+  int levels = 0;
+  if (lnew > 1e-12) {
+    levels = static_cast<int>(std::ceil((la - lambda_loss) / lnew));
+    levels = std::min(levels, 4096);
+  }
+
+  const int m = grid_points;
+  const double h = u_seconds / (m - 1);
+
+  std::vector<double> above(m), cur(m);
+  for (int i = 0; i < m; ++i) {
+    above[i] = la * (static_cast<double>(i) * h);
+  }
+  for (int n = levels - 1; n >= 0; --n) {
+    const double l = std::min(lambda_loss + n * lnew, la);
+    const double b = ev.LambdaBlock(l);
+    cur[0] = 0;
+    const double ebh = std::exp(-b * h);
+    const double c =
+        b > 1e-12 ? (1 - ebh * (1 + b * h)) / (b * h) : 0.0;
+    for (int i = 1; i < m; ++i) {
+      const double u = static_cast<double>(i) * h;
+      double v = std::exp(-b * u) * l * u;
+      if (b > 1e-12) {
+        double ej = 1.0;
+        for (int j = 0; j < i; ++j) {
+          const double x0 = static_cast<double>(j) * h;
+          const double g0 = l * x0 + above[i - j];
+          const double g1 = l * (x0 + h) + above[i - j - 1];
+          v += g0 * (ej - ej * ebh) + (g1 - g0) * ej * c;
+          ej *= ebh;
+        }
+      }
+      cur[i] = v;
+    }
+    above = cur;
+  }
+  if (levels == 0) {
+    return lambda_loss * u_seconds;
+  }
+  return above[m - 1];
+}
+
+double RefClampProb(double p) { return std::clamp(p, 0.0, 0.95); }
+
+double RefStl2pl(const StlEvaluator& ev, int grid, TxnShape shape,
+                 const ProtocolParams& p) {
+  const double lt = LambdaT(ev.params(), shape);
+  const double pa = RefClampProb(p.p_abort);
+  const double success = RefEvaluate(ev, grid, lt, p.u_lock);
+  const double aborted = RefEvaluate(ev, grid, lt, p.u_lock_aborted);
+  return ((1 - pa) * success + pa * aborted) / (1 - pa);
+}
+
+double RefStlTo(const StlEvaluator& ev, int grid, TxnShape shape,
+                const ProtocolParams& p) {
+  const SystemParams& sys = ev.params();
+  const double lt = LambdaT(sys, shape);
+  const double pr = RefClampProb(p.p_reject_read);
+  const double pw = RefClampProb(p.p_reject_write);
+  const double ps = std::pow(1 - pr, shape.m) * std::pow(1 - pw, shape.n);
+  const double expected = shape.m * (1 - pr) * sys.lambda_w +
+                          shape.n * (1 - pw) *
+                              (sys.lambda_w + sys.lambda_r);
+  double lt_star = lt;
+  if (1 - ps > 1e-9) {
+    lt_star = (expected - ps * lt) / (1 - ps);
+    lt_star = std::clamp(lt_star, 0.0, sys.lambda_a);
+  }
+  const double ps_safe = std::max(ps, 0.05);
+  const double success = RefEvaluate(ev, grid, lt, p.u_lock);
+  const double rejected = RefEvaluate(ev, grid, lt_star, p.u_lock_aborted);
+  return (ps_safe * success + (1 - ps_safe) * rejected) / ps_safe;
+}
+
+double RefStlPa(const StlEvaluator& ev, int grid, TxnShape shape,
+                const ProtocolParams& p) {
+  const SystemParams& sys = ev.params();
+  const double lt = LambdaT(sys, shape);
+  const double pb = RefClampProb(p.p_reject_read);
+  const double pbw = RefClampProb(p.p_reject_write);
+  const double ps = std::pow(1 - pb, shape.m) * std::pow(1 - pbw, shape.n);
+  const double expected = shape.m * (1 - pb) * sys.lambda_w +
+                          shape.n * (1 - pbw) *
+                              (sys.lambda_w + sys.lambda_r);
+  double lt_dag = lt;
+  if (1 - ps > 1e-9) {
+    lt_dag = (expected - ps * lt) / (1 - ps);
+    lt_dag = std::clamp(lt_dag, 0.0, sys.lambda_a);
+  }
+  const double success = RefEvaluate(ev, grid, lt, p.u_lock);
+  const double backed_off = RefEvaluate(ev, grid, lt_dag, p.u_lock_aborted);
+  return ps * success + (1 - ps) * (backed_off + success);
+}
 
 SystemParams DefaultSys() {
   SystemParams s;
@@ -290,6 +406,158 @@ TEST(ParamEstimatorTest, TwoPlAbortProbability) {
                 TxnOutcome::kRestartedByDeadlock);
   const ProtocolParams p = est.For(Protocol::kTwoPhaseLocking);
   EXPECT_NEAR(p.p_abort, 0.1, 1e-9);
+}
+
+// One seeded draw of the STL' inputs. Most draws are generic (1..450 loss
+// levels, the selector's range); fixed residues force the edge cases.
+struct StlDraw {
+  SystemParams sys;
+  int grid = 32;
+  double lambda_loss = 0;
+  double u = 0;
+};
+
+StlDraw RandomStlDraw(Rng& rng, int k) {
+  StlDraw d;
+  SystemParams& s = d.sys;
+  s.lambda_a = 1 + 499 * rng.UniformDouble();
+  // λ_new = λ_A / levels, split between λ_w and (1 − Q_r)·λ_r.
+  const double levels = std::exp(rng.UniformDouble() * std::log(450.0));
+  const double lnew = s.lambda_a / levels;
+  const double w_share = rng.UniformDouble();
+  s.q_r = 0.95 * rng.UniformDouble();
+  s.lambda_w = lnew * w_share;
+  s.lambda_r = lnew * (1 - w_share) / (1 - s.q_r);
+  s.k_avg = 1 + 9 * rng.UniformDouble();
+  d.grid = 2 + static_cast<int>(rng.UniformInt(63));  // 2..64
+  d.lambda_loss = s.lambda_a * rng.UniformDouble();
+  d.u = std::exp(std::log(1e-4) + rng.UniformDouble() * std::log(2e4));
+  switch (k % 10) {
+    case 0:  // zero-length hold
+      d.u = 0;
+      break;
+    case 1:  // already saturated: λ_loss >= λ_A
+      d.lambda_loss = s.lambda_a * (1 + rng.UniformDouble());
+      break;
+    case 2:  // λ_new == 0: zero loss levels
+      s.lambda_w = 0;
+      if (rng.Bernoulli(0.5)) {
+        s.lambda_r = 0;
+      } else {
+        s.q_r = 1;
+      }
+      break;
+    case 3:  // K == 1: λ_block == 0 at every level (b <= 1e-12 branch)
+      s.k_avg = 1;
+      break;
+    case 4:  // no initial loss: λ_block == 0 at the bottom level
+      d.lambda_loss = 0;
+      break;
+    case 5:  // the selector's grid
+    case 6:
+      d.grid = 32;
+      break;
+    default:
+      break;
+  }
+  if (k % 50 == 7) {
+    // More than 4096 levels: the level cap. A small grid keeps it cheap.
+    d.lambda_loss = 0.5 * s.lambda_a * rng.UniformDouble();
+    s.lambda_w = (s.lambda_a - d.lambda_loss) /
+                 (4100 + 4000 * rng.UniformDouble());
+    s.lambda_r = 0;
+    d.grid = 2 + static_cast<int>(rng.UniformInt(11));
+  }
+  return d;
+}
+
+// Probabilities that are exactly zero a third of the time, else drawn from
+// [0, 1) (above the 0.95 clamp included).
+double MaybeZeroProb(Rng& rng) {
+  return rng.UniformInt(3) == 0 ? 0.0 : rng.UniformDouble();
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+std::string Describe(const StlDraw& d) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "la=%a lr=%a lw=%a qr=%a k=%a grid=%d loss=%a u=%a",
+                d.sys.lambda_a, d.sys.lambda_r, d.sys.lambda_w, d.sys.q_r,
+                d.sys.k_avg, d.grid, d.lambda_loss, d.u);
+  return buf;
+}
+
+TEST(StlBitIdentityTest, EvaluateMatchesReferenceBitForBit) {
+  Rng rng(20261017);
+  int u_zero = 0, saturated = 0, zero_levels = 0, capped = 0, tiny_b = 0,
+      grid32 = 0, escalating = 0;
+  for (int k = 0; k < 2000; ++k) {
+    const StlDraw d = RandomStlDraw(rng, k);
+    const StlEvaluator ev(d.sys, d.grid);
+    const double got = ev.Evaluate(d.lambda_loss, d.u);
+    const double want = RefEvaluate(ev, d.grid, d.lambda_loss, d.u);
+    ASSERT_TRUE(SameBits(got, want))
+        << "draw " << k << ": " << Describe(d) << " got " << got
+        << " want " << want;
+    const double lnew = ev.LambdaNew();
+    if (d.u == 0) {
+      ++u_zero;
+    } else if (d.lambda_loss >= d.sys.lambda_a) {
+      ++saturated;
+    } else if (lnew <= 1e-12) {
+      ++zero_levels;
+    } else {
+      ++escalating;
+      if ((d.sys.lambda_a - d.lambda_loss) / lnew > 4096) ++capped;
+      if (ev.LambdaBlock(d.lambda_loss) <= 1e-12) ++tiny_b;
+      if (d.grid == 32) ++grid32;
+    }
+  }
+  // Every branch of the kernel was exercised, most draws escalate.
+  EXPECT_GE(u_zero, 100);
+  EXPECT_GE(saturated, 100);
+  EXPECT_GE(zero_levels, 100);
+  EXPECT_GE(capped, 20);
+  EXPECT_GE(tiny_b, 200);
+  EXPECT_GE(grid32, 200);
+  EXPECT_GE(escalating, 1200);
+}
+
+TEST(StlBitIdentityTest, MixturesMatchReferenceBitForBit) {
+  Rng rng(1);
+  int pa_zero = 0, pa_nonzero = 0, to_ps_one = 0, to_ps_below = 0;
+  for (int k = 0; k < 600; ++k) {
+    const StlDraw d = RandomStlDraw(rng, k);
+    const StlEvaluator ev(d.sys, d.grid);
+    const TxnShape shape{static_cast<int>(rng.UniformInt(7)),
+                         static_cast<int>(rng.UniformInt(7))};
+    ProtocolParams p;
+    p.u_lock = rng.UniformInt(10) == 0 ? 0.0 : 0.5 * rng.UniformDouble();
+    p.u_lock_aborted =
+        rng.UniformInt(10) == 0 ? 0.0 : 0.5 * rng.UniformDouble();
+    p.p_abort = MaybeZeroProb(rng);
+    p.p_reject_read = MaybeZeroProb(rng);
+    p.p_reject_write = MaybeZeroProb(rng);
+    const int g = d.grid;
+    ASSERT_TRUE(SameBits(Stl2pl(ev, shape, p), RefStl2pl(ev, g, shape, p)))
+        << "draw " << k << ": " << Describe(d);
+    ASSERT_TRUE(SameBits(StlTo(ev, shape, p), RefStlTo(ev, g, shape, p)))
+        << "draw " << k << ": " << Describe(d);
+    ASSERT_TRUE(SameBits(StlPa(ev, shape, p), RefStlPa(ev, g, shape, p)))
+        << "draw " << k << ": " << Describe(d);
+    ++(p.p_abort == 0 ? pa_zero : pa_nonzero);
+    const bool ps_one = (p.p_reject_read == 0 || shape.m == 0) &&
+                        (p.p_reject_write == 0 || shape.n == 0);
+    ++(ps_one ? to_ps_one : to_ps_below);
+  }
+  // Both sides of every zero-weight short-circuit were compared.
+  EXPECT_GE(pa_zero, 100);
+  EXPECT_GE(pa_nonzero, 100);
+  EXPECT_GE(to_ps_one, 50);
+  EXPECT_GE(to_ps_below, 100);
 }
 
 }  // namespace

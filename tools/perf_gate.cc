@@ -78,6 +78,11 @@ struct KernelResult {
   std::string name;
   std::string items;  // unit label: "events", "cycles", "txns"
   double items_per_sec = 0;
+  // End-to-end kernels only (< 0 otherwise): host seconds in the event
+  // loop and in the post-run oracles (RunStats::run_s / verify_s).
+  // Reported, never gated or written to the baseline.
+  double run_s = -1;
+  double verify_s = -1;
 };
 
 double NowSeconds() {
@@ -451,6 +456,8 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   const bench::RunStats stats = bench::RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
+  r.run_s = stats.run_s;
+  r.verify_s = stats.verify_s;
   *digest = DigestStats(stats);
   if (stats.committed != expected || !stats.serializable ||
       !stats.replicas_consistent) {
@@ -488,6 +495,8 @@ KernelResult KernelOverloadRun(const std::string& path,
   const bench::RunStats stats = bench::RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
+  r.run_s = stats.run_s;
+  r.verify_s = stats.verify_s;
   *digest = DigestOverloadStats(stats);
   if (stats.shed == 0 || !stats.serializable ||
       !stats.replicas_consistent) {
@@ -797,10 +806,16 @@ int main(int argc, char** argv) {
                                         &trace_digest, &ok));
   }
 
-  std::printf("%-18s %14s  %s\n", "kernel", "items/sec", "unit");
+  std::printf("%-18s %14s %10s %10s  %s\n", "kernel", "items/sec", "run_s",
+              "verify_s", "unit");
   for (const KernelResult& k : kernels) {
-    std::printf("%-18s %14.0f  %s\n", k.name.c_str(), k.items_per_sec,
-                k.items.c_str());
+    if (k.run_s < 0) {
+      std::printf("%-18s %14.0f %10s %10s  %s\n", k.name.c_str(),
+                  k.items_per_sec, "-", "-", k.items.c_str());
+    } else {
+      std::printf("%-18s %14.0f %10.4f %10.4f  %s\n", k.name.c_str(),
+                  k.items_per_sec, k.run_s, k.verify_s, k.items.c_str());
+    }
   }
   std::printf("scenario_digest    %016llx\n",
               static_cast<unsigned long long>(digest));
