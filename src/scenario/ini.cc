@@ -102,7 +102,10 @@ void IniFile::Set(const std::string& section, const std::string& key,
     if (s.name != section) continue;
     for (IniEntry& e : s.entries) {
       if (e.key == key) {
+        // The value no longer comes from the file, so neither does the
+        // blame for a bad one.
         e.value = value;
+        e.line = 0;
         return;
       }
     }

@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -31,12 +32,24 @@ std::uint64_t DecodeLe(const char* p, int bytes) {
   return v;
 }
 
-}  // namespace
-
-bool LooksLikeTraceV2(const char* bytes, std::size_t len) {
-  return len >= sizeof(kTraceV2Magic) &&
-         std::memcmp(bytes, kTraceV2Magic, sizeof(kTraceV2Magic)) == 0;
+// Names the 4 bytes found where the magic belongs: quoted when printable
+// (an old text trace reads as "txn "), hex otherwise.
+std::string DescribeMagic(const char* p) {
+  bool printable = true;
+  for (int i = 0; i < 4; ++i) {
+    printable = printable && p[i] >= 0x20 && p[i] <= 0x7e;
+  }
+  if (printable) return "'" + std::string(p, 4) + "'";
+  std::string hex = "0x";
+  for (int i = 0; i < 4; ++i) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<unsigned char>(p[i]));
+    hex += buf;
+  }
+  return hex;
 }
+
+}  // namespace
 
 std::uint64_t FoldArrivalDigest(std::uint64_t digest, const Arrival& a) {
   auto mix = [&digest](std::uint64_t v) {
@@ -209,8 +222,10 @@ StatusOr<std::unique_ptr<TraceReader>> TraceReader::Create(
   }
   in->read(header, sizeof(header));
   if (!in->good()) return Status::Internal("v2 trace: header read failed");
-  if (!LooksLikeTraceV2(header, sizeof(header))) {
-    return Status::InvalidArgument("v2 trace: bad magic");
+  if (std::memcmp(header, kTraceV2Magic, sizeof(kTraceV2Magic)) != 0) {
+    return Status::InvalidArgument("v2 trace: bad magic " +
+                                   DescribeMagic(header) +
+                                   " (expected 'UCTC')");
   }
   const std::uint64_t version = DecodeLe(header + 4, 2);
   if (version != kTraceV2Version) {
@@ -365,7 +380,7 @@ bool TraceReader::Next(Arrival* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Convenience wrappers
+// Batch wrappers and CSV export
 // ---------------------------------------------------------------------------
 
 Status WriteTraceV2File(const std::string& path,
@@ -386,6 +401,39 @@ StatusOr<std::vector<Arrival>> ReadTraceV2File(const std::string& path) {
   Arrival a;
   while ((*reader)->Next(&a)) out.push_back(std::move(a));
   if (!(*reader)->status().ok()) return (*reader)->status();
+  return out;
+}
+
+std::string ExportTraceCsv(const std::vector<Arrival>& arrivals) {
+  std::string out =
+      "txn_id,arrival_us,home,protocol,compute_us,backoff_interval,"
+      "reads,writes\n";
+  auto join = [](const std::vector<ItemId>& items) {
+    std::string cell;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) cell += ';';
+      cell += std::to_string(items[i]);
+    }
+    return cell;
+  };
+  for (const auto& a : arrivals) {
+    out += std::to_string(a.spec.id);
+    out += ',';
+    out += std::to_string(a.when);
+    out += ',';
+    out += std::to_string(a.spec.home);
+    out += ',';
+    out += ProtocolToken(a.spec.protocol);
+    out += ',';
+    out += std::to_string(a.spec.compute_time);
+    out += ',';
+    out += std::to_string(a.spec.backoff_interval);
+    out += ',';
+    out += join(a.spec.read_set);
+    out += ',';
+    out += join(a.spec.write_set);
+    out += '\n';
+  }
   return out;
 }
 

@@ -1,13 +1,11 @@
-// Streaming columnar trace I/O: the UCTC v2 binary trace format.
+// Trace I/O: the UCTC v2 binary trace format, the one on-disk encoding
+// of a recorded arrival schedule, plus a write-only CSV export for
+// analysis.
 //
-// The v1 `UCTB` codec (workload/trace.h) materializes the whole arrival
-// vector and serializes row at a time, so recording or replaying a
-// billion-event open-system run costs O(run) memory and row-granular I/O.
-// UCTC v2 is the streaming replacement: arrivals are buffered into
-// fixed-capacity blocks and each block is written as contiguous
-// little-endian *columns*, so the writer holds at most one block, the
-// reader decodes one block at a time, and a scan touches each column as a
-// straight memcpy-friendly run of bytes.
+// Arrivals are buffered into fixed-capacity blocks and each block is
+// written as contiguous little-endian *columns*, so the writer holds at
+// most one block, the reader decodes one block at a time, and recording
+// or replaying a run of any length costs O(block) memory.
 //
 // File layout (all integers little-endian):
 //
@@ -48,9 +46,6 @@ namespace unicc {
 // The 4-byte magic opening every UCTC v2 trace file.
 inline constexpr char kTraceV2Magic[4] = {'U', 'C', 'T', 'C'};
 inline constexpr std::uint16_t kTraceV2Version = 2;
-
-// True when `bytes` begin with the UCTC v2 magic.
-bool LooksLikeTraceV2(const char* bytes, std::size_t len);
 
 // Appends one arrival's deterministic fields into an FNV-1a digest. Seed
 // with kTraceDigestSeed and fold every arrival in order; writer-side and
@@ -174,12 +169,16 @@ class TraceReader final : public ArrivalStream {
   std::string scratch_;  // raw bytes of the block being decoded
 };
 
-// Convenience wrappers for the batch paths (WorkloadTrace::ReadFile
-// compatibility, tests, tools).
+// Convenience wrappers for the batch paths (tests, tools).
 Status WriteTraceV2File(const std::string& path,
                         const std::vector<Arrival>& arrivals,
                         TraceWriterOptions options = {});
 StatusOr<std::vector<Arrival>> ReadTraceV2File(const std::string& path);
+
+// CSV export (analysis-friendly, write-only) with a header row:
+//   txn_id,arrival_us,home,protocol,compute_us,backoff_interval,reads,writes
+// where reads/writes are ';'-joined item ids (empty cell when none).
+std::string ExportTraceCsv(const std::vector<Arrival>& arrivals);
 
 }  // namespace unicc
 

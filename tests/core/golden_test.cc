@@ -1,6 +1,6 @@
 // Golden determinism suite: every shipped scenario must produce a
 // byte-identical result snapshot when run twice, and when its workload is
-// round-tripped through the binary trace codec (record -> replay). This
+// round-tripped through the UCTC v2 trace codec (record -> replay). This
 // pins the simulation core down so hot-path rewrites cannot silently
 // change results: any drift in the event loop's ordering, the queue
 // managers' grant decisions or the workload generators shows up here as a
@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "scenario/scenario.h"
-#include "workload/trace.h"
+#include "test_util.h"
 #include "workload/trace_io.h"
 
 #ifndef UNICC_SCENARIOS_DIR
@@ -123,41 +123,17 @@ TEST_P(GoldenScenarioTest, RebuiltWorkloadIsByteIdentical) {
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   // BuildWorkload is part of the determinism contract too: two builds must
-  // yield the same arrivals (same trace bytes).
+  // yield the same arrivals, field for field.
   const ScenarioSpec::Workload a = spec->BuildWorkload();
   const ScenarioSpec::Workload b = spec->BuildWorkload();
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(a.arrivals),
-            WorkloadTrace::SerializeBinary(b.arrivals))
-      << GetParam() << ": workload generation diverged";
+  SCOPED_TRACE(GetParam() + ": workload generation diverged");
+  test::ExpectArrivalsEqual(a.arrivals, b.arrivals);
 }
 
 TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
-  auto spec = ScenarioSpec::LoadFile(GetParam());
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  if (spec->IsOpenSystem()) {
-    GTEST_SKIP() << "replaying a pre-materialized trace bypasses streaming "
-                    "admission (and the trace codec does not carry per-txn "
-                    "deadlines), so a round trip cannot match the live run";
-  }
-  const ScenarioSpec::Workload wl = spec->BuildWorkload();
-
-  const RunStats direct = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                 wl.forced);
-  // Record -> replay through the versioned binary codec, as unicc_sim's
-  // --record-trace/--replay-trace do.
-  const std::string bytes = WorkloadTrace::SerializeBinary(wl.arrivals);
-  auto replayed = WorkloadTrace::ParseBinary(bytes);
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  const RunStats replay = bench::RunScenarioWith(*spec, *replayed,
-                                                 wl.forced);
-  EXPECT_EQ(Snapshot(direct), Snapshot(replay))
-      << GetParam() << ": record->replay diverged";
-}
-
-TEST_P(GoldenScenarioTest, TraceV2RoundTripIsByteIdentical) {
-  // The streaming columnar codec must preserve every shipped workload
-  // bit-for-bit: write through UCTC v2, read back, and compare via the v1
-  // serialization (which the other golden tests already pin).
+  // Record -> replay through the UCTC v2 codec, as unicc_sim's
+  // --record-trace/--replay-trace do: every shipped workload must come
+  // back field for field, and replaying it must reproduce the direct run.
   auto spec = ScenarioSpec::LoadFile(GetParam());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
@@ -166,9 +142,22 @@ TEST_P(GoldenScenarioTest, TraceV2RoundTripIsByteIdentical) {
   auto replayed = ReadTraceV2File(path);
   std::remove(path.c_str());
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(wl.arrivals),
-            WorkloadTrace::SerializeBinary(*replayed))
-      << GetParam() << ": UCTC v2 round trip diverged";
+  {
+    SCOPED_TRACE(GetParam() + ": UCTC v2 round trip diverged");
+    test::ExpectArrivalsEqual(wl.arrivals, *replayed);
+  }
+  if (spec->IsOpenSystem()) {
+    // Replaying a pre-materialized trace bypasses streaming admission (and
+    // the trace does not carry per-txn deadlines), so the replayed run
+    // cannot match the live one.
+    return;
+  }
+  const RunStats direct = bench::RunScenarioWith(*spec, wl.arrivals,
+                                                 wl.forced);
+  const RunStats replay = bench::RunScenarioWith(*spec, *replayed,
+                                                 wl.forced);
+  EXPECT_EQ(Snapshot(direct), Snapshot(replay))
+      << GetParam() << ": record->replay diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(

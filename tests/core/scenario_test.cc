@@ -258,6 +258,22 @@ TEST(ScenarioSpecTest, OverrideCreatedTableReportsOverride) {
             "[table extra] (override): missing 'rows'");
 }
 
+// An override that replaces a key the file already has is blamed on the
+// override, not on the file line that held the old value.
+TEST(ScenarioSpecTest, OverriddenKeyReportsOverride) {
+  auto parsed = IniFile::Parse(
+      "[engine]\nitems = 64\n[class c]\ntxns = 5\nrate = 10\n");
+  ASSERT_TRUE(parsed.ok());
+  IniFile ini = *parsed;
+  ini.Set("engine", "items", "abc");
+  auto spec = ScenarioSpec::FromIni(ini);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find("override"), std::string::npos)
+      << spec.status().message();
+  EXPECT_EQ(spec.status().message().find("line"), std::string::npos)
+      << spec.status().message();
+}
+
 TEST(ScenarioSpecTest, PureBackendRequiresMatchingFixedPolicy) {
   const char* base =
       "[engine]\nbackend = pure\nprotocol = to\ndetector = none\n"

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "scenario/scenario.h"
+#include "test_util.h"
 #include "workload/generator.h"
-#include "workload/trace.h"
 
 namespace unicc {
 namespace {
@@ -91,10 +91,8 @@ TEST(GeneratorStreamTest, MatchesBatchGeneratorDrawForDraw) {
   auto stream = MakeGeneratorStream(wo, items, sites, Rng(123));
   const std::vector<Arrival> lazy = DrainStream(*stream);
 
-  // Byte-compare through the trace codec: times, homes, access sets and
-  // ids must all be identical.
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(batch),
-            WorkloadTrace::SerializeBinary(lazy));
+  // Times, homes, access sets and ids must all be identical.
+  test::ExpectArrivalsEqual(batch, lazy);
 }
 
 TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
@@ -109,8 +107,7 @@ TEST(ScenarioStreamTest, OpenMatchesBuildWorkload) {
   ScenarioSpec::OpenWorkload open = spec->Open();
   const std::vector<Arrival> lazy = DrainStream(*open.stream);
 
-  EXPECT_EQ(WorkloadTrace::SerializeBinary(batch.arrivals),
-            WorkloadTrace::SerializeBinary(lazy));
+  test::ExpectArrivalsEqual(batch.arrivals, lazy);
   // The forced set fills as the stream emits; after a full drain it must
   // equal the batch set.
   EXPECT_EQ(*batch.forced, *open.forced);

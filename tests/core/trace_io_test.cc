@@ -1,8 +1,9 @@
 // UCTC v2 streaming columnar trace codec: round trips (single- and
-// multi-block), the on-disk golden layout, the corrupt-input corpus, the
-// bounded-memory property on both sides, and the digest contract that the
-// CI round-trip gate relies on. Byte offsets in the corruption tests are
-// derived from the layout documented in workload/trace_io.h.
+// multi-block), seed determinism, the on-disk golden layout, the
+// corrupt-input corpus, the bounded-memory property on both sides, the
+// digest contract that the CI round-trip gate relies on, and the CSV
+// export golden. Byte offsets in the corruption tests are derived from
+// the layout documented in workload/trace_io.h.
 #include "workload/trace_io.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "test_util.h"
 #include "workload/generator.h"
-#include "workload/trace.h"
 
 namespace unicc {
 namespace {
+
+using test::ExpectArrivalsEqual;
 
 std::vector<Arrival> SampleArrivals() {
   WorkloadOptions wo;
@@ -30,21 +33,6 @@ std::vector<Arrival> SampleArrivals() {
   arrivals[3].spec.backoff_interval = 128;
   arrivals[7].spec.protocol = Protocol::kTimestampOrdering;
   return arrivals;
-}
-
-void ExpectArrivalsEqual(const std::vector<Arrival>& a,
-                         const std::vector<Arrival>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].when, b[i].when);
-    EXPECT_EQ(a[i].spec.id, b[i].spec.id);
-    EXPECT_EQ(a[i].spec.home, b[i].spec.home);
-    EXPECT_EQ(a[i].spec.protocol, b[i].spec.protocol);
-    EXPECT_EQ(a[i].spec.compute_time, b[i].spec.compute_time);
-    EXPECT_EQ(a[i].spec.backoff_interval, b[i].spec.backoff_interval);
-    EXPECT_EQ(a[i].spec.read_set, b[i].spec.read_set);
-    EXPECT_EQ(a[i].spec.write_set, b[i].spec.write_set);
-  }
 }
 
 std::string Encode(const std::vector<Arrival>& arrivals,
@@ -97,16 +85,20 @@ TEST(TraceV2Test, FileRoundTripThroughConvenienceWrappers) {
   std::remove(path.c_str());
 }
 
-TEST(TraceV2Test, ReadFileAutodetectsV2) {
-  // WorkloadTrace::ReadFile sniffs the magic and routes UCTC files through
-  // the v2 reader, alongside the UCTB v1 and text autodetection.
-  const auto original = SampleArrivals();
-  const std::string path = ::testing::TempDir() + "/unicc_autodetect.uctc";
-  ASSERT_TRUE(WriteTraceV2File(path, original).ok());
-  auto parsed = WorkloadTrace::ReadFile(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectArrivalsEqual(original, *parsed);
-  std::remove(path.c_str());
+TEST(TraceV2Test, EncodingIsStableAcrossSeeds) {
+  // Same seed -> byte-identical trace; a different seed must change the
+  // workload. This is what makes recorded traces a sound cross-version
+  // replay contract.
+  WorkloadOptions wo;
+  wo.num_txns = 30;
+  wo.size_min = 2;
+  wo.size_max = 4;
+  auto generate = [&](std::uint64_t seed) {
+    WorkloadGenerator gen(wo, 64, 3, Rng(seed));
+    return gen.Generate();
+  };
+  EXPECT_EQ(Encode(generate(1)), Encode(generate(1)));
+  EXPECT_NE(Encode(generate(1)), Encode(generate(2)));
 }
 
 TEST(TraceV2Test, GoldenEmptyFileLayout) {
@@ -157,9 +149,19 @@ TEST(TraceV2CorruptTest, HandcraftedLayoutHasTheDocumentedSize) {
 
 TEST(TraceV2CorruptTest, RejectsBadMagicAndVersion) {
   std::string bytes = Encode(TwoArrivals());
+  // The error names the bytes found: quoted when printable (an old text
+  // trace starts "txn "), hex otherwise.
   std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(Decode(bad_magic).ok());
+  bad_magic.replace(0, 4, "txn ");
+  auto text = Decode(bad_magic);
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().message(),
+            "v2 trace: bad magic 'txn ' (expected 'UCTC')");
+  bad_magic.replace(0, 4, std::string("\x00\x01\xfe\x7f", 4));
+  auto binary = Decode(bad_magic);
+  ASSERT_FALSE(binary.ok());
+  EXPECT_EQ(binary.status().message(),
+            "v2 trace: bad magic 0x0001fe7f (expected 'UCTC')");
   std::string bad_version = bytes;
   bad_version[4] = 9;
   EXPECT_FALSE(Decode(bad_version).ok());
@@ -318,6 +320,26 @@ TEST(TraceV2ReaderTest, MissingFileIsNotFound) {
   auto reader = TraceReader::Open("/nonexistent/path/trace.uctc");
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
+}
+
+TEST(TraceCsvTest, ExportMatchesGolden) {
+  std::vector<Arrival> arrivals(2);
+  arrivals[0].when = 100;
+  arrivals[0].spec.id = 1;
+  arrivals[0].spec.home = 2;
+  arrivals[0].spec.protocol = Protocol::kPrecedenceAgreement;
+  arrivals[0].spec.compute_time = 5000;
+  arrivals[0].spec.backoff_interval = 64;
+  arrivals[0].spec.read_set = {3, 4};
+  arrivals[0].spec.write_set = {5};
+  arrivals[1].when = 250;
+  arrivals[1].spec.id = 2;
+  arrivals[1].spec.write_set = {9};
+  EXPECT_EQ(ExportTraceCsv(arrivals),
+            "txn_id,arrival_us,home,protocol,compute_us,backoff_interval,"
+            "reads,writes\n"
+            "1,100,2,pa,5000,64,3;4,5\n"
+            "2,250,0,2pl,0,0,,9\n");
 }
 
 }  // namespace

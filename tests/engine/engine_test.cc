@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 
 #include "../test_util.h"
 #include "scenario/scenario.h"
 #include "workload/stream.h"
-#include "workload/trace.h"
+#include "workload/trace_io.h"
 
 namespace unicc {
 namespace {
@@ -401,11 +402,21 @@ TEST(EngineTest, TraceReplayReproducesRun) {
   ASSERT_TRUE(direct.AddWorkload(arrivals).ok());
   const RunSummary s1 = direct.Run();
 
-  const std::string text = WorkloadTrace::Serialize(arrivals);
-  auto parsed = WorkloadTrace::Parse(text);
-  ASSERT_TRUE(parsed.ok());
+  // Record -> replay in memory through the UCTC v2 codec.
+  std::stringstream trace;
+  {
+    auto writer = TraceWriter::ToStream(&trace);
+    ASSERT_TRUE(writer.ok());
+    for (const auto& a : arrivals) ASSERT_TRUE((*writer)->Append(a).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  auto reader = TraceReader::FromStream(&trace);
+  ASSERT_TRUE(reader.ok());
+  const std::vector<Arrival> parsed = DrainStream(**reader);
+  ASSERT_TRUE((*reader)->status().ok());
+  test::ExpectArrivalsEqual(arrivals, parsed);
   Engine replayed(eo);
-  ASSERT_TRUE(replayed.AddWorkload(*parsed).ok());
+  ASSERT_TRUE(replayed.AddWorkload(parsed).ok());
   const RunSummary s2 = replayed.Run();
 
   EXPECT_EQ(s1.makespan, s2.makespan);

@@ -2,8 +2,12 @@
 #ifndef UNICC_TESTS_TEST_UTIL_H_
 #define UNICC_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/engine.h"
 #include "workload/generator.h"
@@ -52,6 +56,24 @@ inline WorkloadRun RunWorkload(const EngineOptions& eo,
   UNICC_CHECK(run.engine->AddWorkload(gen.Generate()).ok());
   run.summary = run.engine->Run();
   return run;
+}
+
+// Field-by-field equality of two arrival schedules: every field a trace
+// records (time, id, home, protocol, compute, backoff, access sets).
+inline void ExpectArrivalsEqual(const std::vector<Arrival>& a,
+                                const std::vector<Arrival>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("arrival " + std::to_string(i));
+    EXPECT_EQ(a[i].when, b[i].when);
+    EXPECT_EQ(a[i].spec.id, b[i].spec.id);
+    EXPECT_EQ(a[i].spec.home, b[i].spec.home);
+    EXPECT_EQ(a[i].spec.protocol, b[i].spec.protocol);
+    EXPECT_EQ(a[i].spec.compute_time, b[i].spec.compute_time);
+    EXPECT_EQ(a[i].spec.backoff_interval, b[i].spec.backoff_interval);
+    EXPECT_EQ(a[i].spec.read_set, b[i].spec.read_set);
+    EXPECT_EQ(a[i].spec.write_set, b[i].spec.write_set);
+  }
 }
 
 }  // namespace unicc::test

@@ -5,8 +5,8 @@
 //   unicc_sim --protocol=pa --lambda=80 --txns=500 --items=60 --seed=7
 //   unicc_sim --policy=minstl --lambda=120 --read-fraction=0.3 --verbose
 //   unicc_sim --scenario=scenarios/bursty.ini --verbose
-//   unicc_sim --scenario=scenarios/quickstart.ini --record-trace=run.trace
-//   unicc_sim --replay-trace=run.trace --policy=trace
+//   unicc_sim --scenario=scenarios/quickstart.ini --record-trace=run.uctc
+//   unicc_sim --replay-trace=run.uctc --policy=trace
 //   unicc_sim --scenario=scenarios/phase_shift.ini --timeline-csv=tl.csv
 //   unicc_sim --scenario=scenarios/quickstart.ini --set=run.max_inflight=8
 //
@@ -28,7 +28,6 @@
 #include "stl/estimators.h"
 #include "workload/generator.h"
 #include "workload/stream.h"
-#include "workload/trace.h"
 #include "workload/trace_io.h"
 
 namespace {
@@ -63,7 +62,6 @@ struct Flags {
   std::string scenario;      // --scenario=FILE
   std::string record_trace;  // --record-trace=FILE
   std::string replay_trace;  // --replay-trace=FILE
-  std::string trace_format = "v2";  // --trace-format=v1|v2
   std::string export_csv;    // --export-csv=FILE
   std::vector<std::string> sets;  // --set=SECTION.KEY=VALUE
   std::string timeline_csv;   // --timeline-csv=FILE
@@ -110,16 +108,11 @@ void PrintHelp() {
       "                      re-derives one from the engine seed). A fixed\n"
       "                      value replays the same loss/duplication/\n"
       "                      reorder schedule bit-for-bit\n"
-      "  --record-trace=<file>  write the workload as a trace; the\n"
-      "                      streaming columnar UCTC v2 format by default\n"
-      "                      (see --trace-format)\n"
-      "  --replay-trace=<file>  read the workload from a recorded trace\n"
-      "                      (text, UCTB v1 or UCTC v2, auto-detected)\n"
-      "                      instead of generating it; v2 traces stream\n"
+      "  --record-trace=<file>  write the workload as a UCTC v2 trace\n"
+      "                      (streaming block-columnar binary)\n"
+      "  --replay-trace=<file>  read the workload from a UCTC v2 trace\n"
+      "                      instead of generating it; the trace streams\n"
       "                      block-by-block into admission\n"
-      "  --trace-format=v1|v2   format written by --record-trace (v2).\n"
-      "                      v1 keeps the legacy behavior: binary UCTB\n"
-      "                      when the name ends in .bin, else text\n"
       "  --export-csv=<file>    write the workload as CSV for analysis\n"
       "  --timeline-csv=<file>  write windowed time-series metrics as CSV\n"
       "  --timeline-json=<file> write windowed time-series metrics as JSON\n"
@@ -150,11 +143,6 @@ Protocol ParseProtocol(const std::string& s) {
   std::exit(2);
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 // Streams a timeline export straight to `path` (no whole-document string).
 bool WriteTimeline(const std::string& path, const TimelineRecorder& tl,
                    bool json, const char* what) {
@@ -174,15 +162,6 @@ bool WriteTimeline(const std::string& path, const TimelineRecorder& tl,
     return false;
   }
   return true;
-}
-
-// True when `path` starts with the UCTC v2 magic.
-bool IsTraceV2File(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-         LooksLikeTraceV2(magic, sizeof(magic));
 }
 
 }  // namespace
@@ -208,7 +187,6 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--scenario", &flags.scenario) ||
                ParseFlag(a, "--record-trace", &flags.record_trace) ||
                ParseFlag(a, "--replay-trace", &flags.replay_trace) ||
-               ParseFlag(a, "--trace-format", &flags.trace_format) ||
                ParseFlag(a, "--export-csv", &flags.export_csv) ||
                ParseFlag(a, "--timeline-csv", &flags.timeline_csv) ||
                ParseFlag(a, "--timeline-json", &flags.timeline_json)) {
@@ -355,12 +333,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (flags.trace_format != "v1" && flags.trace_format != "v2") {
-    std::fprintf(stderr, "unknown --trace-format '%s' (v1 or v2)\n",
-                 flags.trace_format.c_str());
-    return 2;
-  }
-  const bool record_v2 = flags.trace_format == "v2";
   const std::uint32_t effective_shards =
       flags.shards != 0 ? flags.shards : eo.shards;
 
@@ -374,21 +346,20 @@ int main(int argc, char** argv) {
   const bool open_run =
       from_scenario && scenario.IsOpenSystem() && flags.replay_trace.empty();
   if (open_run) {
-    // The session streams the workload itself. CSV export (and a v1
-    // recording) describe the workload definition, which the run controls
-    // may only partially admit; those still materialize it. A v2
-    // recording streams generator -> writer below without materializing.
-    if (!flags.export_csv.empty() ||
-        (!flags.record_trace.empty() && !record_v2)) {
+    // The session streams the workload itself. CSV export describes the
+    // workload definition, which the run controls may only partially
+    // admit, so it still materializes it; a recording streams generator ->
+    // writer below without materializing.
+    if (!flags.export_csv.empty()) {
       arrivals = scenario.BuildWorkload().arrivals;
     }
   } else if (!flags.replay_trace.empty()) {
-    // A v2 trace replays as a stream feeding admission block-by-block.
+    // The trace replays as a stream feeding admission block-by-block.
     // Materialize only when something needs the whole schedule up front:
     // re-recording/exporting it, or a sharded (batch-only) run.
-    const bool stream_replay =
-        IsTraceV2File(flags.replay_trace) && flags.record_trace.empty() &&
-        flags.export_csv.empty() && effective_shards <= 1;
+    const bool stream_replay = flags.record_trace.empty() &&
+                               flags.export_csv.empty() &&
+                               effective_shards <= 1;
     if (stream_replay) {
       auto reader = TraceReader::Open(flags.replay_trace);
       if (!reader.ok()) {
@@ -399,7 +370,7 @@ int main(int argc, char** argv) {
       replay_reader = reader->get();
       replay_stream = std::move(reader).value();
     } else {
-      auto loaded = WorkloadTrace::ReadFile(flags.replay_trace);
+      auto loaded = ReadTraceV2File(flags.replay_trace);
       if (!loaded.ok()) {
         std::fprintf(stderr, "%s: %s\n", flags.replay_trace.c_str(),
                      loaded.status().ToString().c_str());
@@ -435,9 +406,9 @@ int main(int argc, char** argv) {
   if (!flags.record_trace.empty()) {
     Status s;
     std::uint64_t recorded = arrivals.size();
-    if (record_v2 && open_run && flags.export_csv.empty()) {
-      // Open-system v2 recording: stream the scenario's workload
-      // definition straight into the block writer, O(one block) memory.
+    if (open_run && flags.export_csv.empty()) {
+      // Open-system recording: stream the scenario's workload definition
+      // straight into the block writer, O(one block) memory.
       auto writer = TraceWriter::Open(flags.record_trace);
       if (!writer.ok()) {
         s = writer.status();
@@ -448,12 +419,8 @@ int main(int argc, char** argv) {
         });
         if (s.ok()) s = (*writer)->Finish();
       }
-    } else if (record_v2) {
-      s = WriteTraceV2File(flags.record_trace, arrivals);
     } else {
-      s = EndsWith(flags.record_trace, ".bin")
-              ? WorkloadTrace::WriteBinaryFile(flags.record_trace, arrivals)
-              : WorkloadTrace::WriteFile(flags.record_trace, arrivals);
+      s = WriteTraceV2File(flags.record_trace, arrivals);
     }
     if (!s.ok()) {
       std::fprintf(stderr, "record-trace: %s\n", s.ToString().c_str());
@@ -470,7 +437,7 @@ int main(int argc, char** argv) {
                    flags.export_csv.c_str());
       return 2;
     }
-    const std::string csv = WorkloadTrace::ExportCsv(arrivals);
+    const std::string csv = ExportTraceCsv(arrivals);
     std::fwrite(csv.data(), 1, csv.size(), f);
     std::fclose(f);
     std::printf("exported %zu rows to %s\n", arrivals.size(),
