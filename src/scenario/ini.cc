@@ -100,12 +100,14 @@ void IniFile::Set(const std::string& section, const std::string& key,
                   const std::string& value) {
   for (IniSection& s : sections_) {
     if (s.name != section) continue;
-    for (IniEntry& e : s.entries) {
-      if (e.key == key) {
+    // Scenario parsing keeps the last of repeated keys, so that is the
+    // one to overwrite.
+    for (auto e = s.entries.rbegin(); e != s.entries.rend(); ++e) {
+      if (e->key == key) {
         // The value no longer comes from the file, so neither does the
         // blame for a bad one.
-        e.value = value;
-        e.line = 0;
+        e->value = value;
+        e->line = 0;
         return;
       }
     }

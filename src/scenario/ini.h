@@ -41,7 +41,8 @@ class IniFile {
   const IniSection* Find(const std::string& name) const;
 
   // Sets `key` in the first section named `section` (appending the entry,
-  // or overwriting an existing one); creates the section when missing.
+  // or overwriting the last one with that key, the one scenario parsing
+  // reads); creates the section when missing.
   // Used by sweep_runner to apply grid overrides to a base scenario.
   void Set(const std::string& section, const std::string& key,
            const std::string& value);

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/table.h"
 #include "common/types.h"
 
 namespace unicc {
@@ -102,20 +101,6 @@ TEST(RngTest, SampleWithoutReplacementDistinctSorted) {
     EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
     for (auto v : s) EXPECT_LT(v, 30u);
   }
-}
-
-TEST(TableTest, AlignsColumns) {
-  Table t({"a", "long-header"});
-  t.AddRow({"xxxx", "1"});
-  const std::string out = t.ToString();
-  EXPECT_NE(out.find("long-header"), std::string::npos);
-  EXPECT_NE(out.find("xxxx"), std::string::npos);
-  EXPECT_NE(out.find("---"), std::string::npos);
-}
-
-TEST(TableTest, NumberFormatting) {
-  EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
-  EXPECT_EQ(Table::Int(42), "42");
 }
 
 TEST(TypesTest, ProtocolNames) {

@@ -10,10 +10,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
+#include "runner/runner.h"
 #include "scenario/scenario.h"
 #include "test_util.h"
 #include "workload/trace_io.h"
@@ -25,7 +28,26 @@
 namespace unicc {
 namespace {
 
-using bench::RunStats;
+using runner::RunStats;
+
+// Runs `spec` through the runner facade: on the path the scenario
+// declares, or on `arrivals` (with the matching forced-protocol set) when
+// given, as a record -> replay does.
+RunStats RunSpec(
+    const ScenarioSpec& spec,
+    const std::vector<WorkloadGenerator::Arrival>* arrivals = nullptr,
+    std::shared_ptr<const std::unordered_set<TxnId>> forced = nullptr) {
+  runner::RunRequest request;
+  request.spec = &spec;
+  request.arrivals = arrivals;
+  request.forced = std::move(forced);
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    ADD_FAILURE() << session.status().ToString();
+    return RunStats();
+  }
+  return (*session)->Run().stats;
+}
 
 // Serializes every deterministic field of a run. Doubles are printed with
 // %.17g: bit-identical runs print identical bytes, and any numeric drift
@@ -86,8 +108,8 @@ TEST_P(GoldenScenarioTest, RepeatedRunsAreByteIdentical) {
   // bounded overload gate) run the path they declare; a pre-materialized
   // batch would bypass the MPL gate and its shed/expire outcomes.
   if (spec->IsOpenSystem()) {
-    const RunStats first = bench::RunScenario(*spec);
-    const RunStats second = bench::RunScenario(*spec);
+    const RunStats first = RunSpec(*spec);
+    const RunStats second = RunSpec(*spec);
     EXPECT_EQ(Snapshot(first), Snapshot(second))
         << GetParam() << ": two identical runs diverged";
     EXPECT_TRUE(first.serializable) << GetParam();
@@ -108,10 +130,8 @@ TEST_P(GoldenScenarioTest, RepeatedRunsAreByteIdentical) {
   }
 
   const ScenarioSpec::Workload wl = spec->BuildWorkload();
-  const RunStats first = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                wl.forced);
-  const RunStats second = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                 wl.forced);
+  const RunStats first = RunSpec(*spec, &wl.arrivals, wl.forced);
+  const RunStats second = RunSpec(*spec, &wl.arrivals, wl.forced);
   EXPECT_EQ(Snapshot(first), Snapshot(second))
       << GetParam() << ": two identical runs diverged";
   EXPECT_TRUE(first.serializable) << GetParam();
@@ -152,10 +172,8 @@ TEST_P(GoldenScenarioTest, RecordReplayRoundTripIsByteIdentical) {
     // cannot match the live one.
     return;
   }
-  const RunStats direct = bench::RunScenarioWith(*spec, wl.arrivals,
-                                                 wl.forced);
-  const RunStats replay = bench::RunScenarioWith(*spec, *replayed,
-                                                 wl.forced);
+  const RunStats direct = RunSpec(*spec, &wl.arrivals, wl.forced);
+  const RunStats replay = RunSpec(*spec, &*replayed, wl.forced);
   EXPECT_EQ(Snapshot(direct), Snapshot(replay))
       << GetParam() << ": record->replay diverged";
 }

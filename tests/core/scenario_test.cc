@@ -274,6 +274,19 @@ TEST(ScenarioSpecTest, OverriddenKeyReportsOverride) {
       << spec.status().message();
 }
 
+TEST(ScenarioSpecTest, OverrideOfRepeatedKeyWins) {
+  // Parsing keeps the last of repeated keys; an override must replace
+  // that one, not an earlier entry parsing never reads.
+  auto parsed = IniFile::Parse(
+      "[engine]\nseed = 1\nseed = 2\n[class c]\ntxns = 5\nrate = 10\n");
+  ASSERT_TRUE(parsed.ok());
+  IniFile ini = *parsed;
+  ini.Set("engine", "seed", "9");
+  auto spec = ScenarioSpec::FromIni(ini);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->engine.seed, 9u);
+}
+
 TEST(ScenarioSpecTest, PureBackendRequiresMatchingFixedPolicy) {
   const char* base =
       "[engine]\nbackend = pure\nprotocol = to\ndetector = none\n"

@@ -287,6 +287,56 @@ TEST(EstimatorFormulaTest, StlToVsPaWithSameProbabilities) {
   EXPECT_GE(StlTo(ev, {3, 3}, p), StlPa(ev, {3, 3}, p));
 }
 
+TEST(EstimatorFormulaTest, MinimumMovesFrom2plToPaWithContention) {
+  // The ranking that drives E5's selection: with few conflicts 2PL is
+  // the cheapest protocol; as deadlock and negative-response
+  // probabilities grow, PA's single back-off undercuts both 2PL's
+  // deadlock restarts and T/O's geometric retries.
+  struct Row {
+    const char* name;
+    double p_abort;     // 2PL deadlock probability
+    double p_negative;  // T/O reject & PA back-off probability
+    double u;           // lock time (s)
+    bool pa_wins;
+  };
+  const Row rows[] = {
+      {"idle (no conflicts)", 0.0, 0.0, 0.03, false},
+      {"light", 0.01, 0.05, 0.04, false},
+      {"moderate", 0.05, 0.15, 0.06, false},
+      {"heavy", 0.25, 0.35, 0.10, true},
+      {"extreme", 0.50, 0.50, 0.15, true},
+  };
+  StlEvaluator ev(DefaultSys(), 48);
+  const TxnShape shape{2, 2};
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.name);
+    ProtocolParams p2;
+    p2.u_lock = r.u;
+    p2.u_lock_aborted = r.u * 2;  // deadlocked locks are held long
+    p2.p_abort = r.p_abort;
+    ProtocolParams pto;
+    pto.u_lock = r.u;
+    pto.u_lock_aborted = r.u * 0.5;
+    pto.p_reject_read = r.p_negative;
+    pto.p_reject_write = r.p_negative;
+    ProtocolParams ppa;
+    ppa.u_lock = r.u * 1.2;  // negotiation lengthens holds slightly
+    ppa.u_lock_aborted = r.u * 0.6;
+    ppa.p_reject_read = r.p_negative;
+    ppa.p_reject_write = r.p_negative;
+    const double v2 = Stl2pl(ev, shape, p2);
+    const double vt = StlTo(ev, shape, pto);
+    const double vp = StlPa(ev, shape, ppa);
+    if (r.pa_wins) {
+      EXPECT_LT(vp, v2);
+      EXPECT_LT(vp, vt);
+    } else {
+      EXPECT_LE(v2, vt);
+      EXPECT_LE(v2, vp);
+    }
+  }
+}
+
 TEST(ParamEstimatorTest, SnapshotComputesRatesAndMix) {
   ParamEstimator est;
   for (int i = 0; i < 60; ++i) est.OnGrant(OpType::kRead);

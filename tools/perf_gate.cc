@@ -55,14 +55,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "cc/unified/queue_manager.h"
 #include "common/rng.h"
 #include "net/transport.h"
+#include "runner/runner.h"
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
@@ -392,7 +393,7 @@ void MixDigest(std::uint64_t* h, std::uint64_t v) {
   }
 }
 
-std::uint64_t DigestStats(const bench::RunStats& s) {
+std::uint64_t DigestStats(const runner::RunStats& s) {
   std::uint64_t h = 1469598103934665603ULL;
   MixDigest(&h, s.committed);
   MixDigest(&h, s.deadlock_victims);
@@ -405,7 +406,7 @@ std::uint64_t DigestStats(const bench::RunStats& s) {
 
 // The overload kernel's digest additionally folds the overload-control
 // outcome counters, pinning the shed/expire/retry machinery exactly.
-std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
+std::uint64_t DigestOverloadStats(const runner::RunStats& s) {
   std::uint64_t h = DigestStats(s);
   MixDigest(&h, s.admitted);
   MixDigest(&h, s.shed);
@@ -413,6 +414,22 @@ std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
   MixDigest(&h, s.retried);
   MixDigest(&h, s.goodput);
   return h;
+}
+
+// Runs `spec` through the runner facade. A spec that loads but cannot be
+// assembled (e.g. a shard/site partition the runner rejects) fails the
+// kernel `name` instead of aborting the gate.
+std::optional<runner::RunStats> RunSpec(const char* name,
+                                        const ScenarioSpec& spec) {
+  runner::RunRequest request;
+  request.spec = &spec;
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    std::fprintf(stderr, "perf_gate: %s: %s\n", name,
+                 session.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return (*session)->Run().stats;
 }
 
 // Shared scenario-kernel recipe: load `path`, scale the main class to
@@ -453,8 +470,13 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   }
   const std::uint64_t expected = spec->TotalTxns();
   const double start = NowSeconds();
-  const bench::RunStats stats = bench::RunScenario(*spec);
+  const std::optional<runner::RunStats> run = RunSpec(name, *spec);
   const double elapsed = NowSeconds() - start;
+  if (!run) {
+    *ok = false;
+    return r;
+  }
+  const runner::RunStats& stats = *run;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   r.run_s = stats.run_s;
   r.verify_s = stats.verify_s;
@@ -492,8 +514,13 @@ KernelResult KernelOverloadRun(const std::string& path,
     return r;
   }
   const double start = NowSeconds();
-  const bench::RunStats stats = bench::RunScenario(*spec);
+  const std::optional<runner::RunStats> run = RunSpec(r.name.c_str(), *spec);
   const double elapsed = NowSeconds() - start;
+  if (!run) {
+    *ok = false;
+    return r;
+  }
+  const runner::RunStats& stats = *run;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   r.run_s = stats.run_s;
   r.verify_s = stats.verify_s;

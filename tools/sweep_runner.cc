@@ -1,10 +1,11 @@
 // sweep_runner: multi-threaded parameter-sweep harness for the paper's
-// experiment grids E1-E9. Each experiment expands to a grid of cells
-// (lambda, transaction size, back-off interval, protocol policy, ...);
-// cells are sharded across a worker pool, each worker runs one full
-// Engine simulation per cell, and results land in machine-readable
-// BENCH_e*.json files so the performance trajectory of the repo can be
-// tracked across PRs.
+// experiment grids E1-E9 (E8 runs no engine; its checks live in stl_test).
+// Each experiment expands to a grid of cells (lambda, transaction size,
+// back-off interval, protocol policy, seed, ...); cells are sharded across
+// a worker pool, each worker runs one full Engine simulation per cell, and
+// results land in machine-readable BENCH_e*.json files so the performance
+// trajectory of the repo can be tracked across PRs. The exit status is 1
+// if any cell that ran was not serializable or left replicas diverged.
 //
 // Besides the built-in grids, any declarative scenario file can be swept
 // over any of its keys: --scenario=FILE turns the scenario into the base
@@ -25,16 +26,102 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bench_util.h"
+#include "common/check.h"
+#include "runner/runner.h"
 #include "scenario/scenario.h"
+#include "workload/generator.h"
 
 namespace {
 
 using namespace unicc;
-using namespace unicc::bench;
+using runner::RunStats;
+
+// Runs one session to completion. Built-in grid cells always assemble and
+// scenario cells have passed FromIni first, so a Create error aborts.
+RunStats RunRequestOrDie(runner::RunRequest request) {
+  auto session = runner::RunSession::Create(std::move(request));
+  UNICC_CHECK_MSG(session.ok(), session.status().message().c_str());
+  return (*session)->Run().stats;
+}
+
+// ---------------------------------------------------------------------------
+// Built-in cluster/workload configuration
+// ---------------------------------------------------------------------------
+
+// What the built-in grids vary. Every cell runs the engine's default
+// 4 + 4 site cluster, unreplicated, on a 5 ms (+2 ms jitter) network.
+struct BenchConfig {
+  ItemId num_items = 60;
+  double lambda = 20;           // arrivals per second
+  std::uint32_t size_min = 4;
+  std::uint32_t size_max = 4;
+  double read_fraction = 0.5;
+  Duration compute_time = 5 * kMillisecond;
+  BackendKind backend = BackendKind::kUnified;
+  bool semi_locks = true;
+  Timestamp backoff_interval = 64;  // PA back-off interval INT
+  std::uint64_t seed = 1234;
+};
+
+enum class PolicyKind { kFixed, kMixedEven, kMinStl, kMinAvgTime };
+
+RunStats RunOne(const BenchConfig& cfg, PolicyKind policy, Protocol fixed,
+                std::uint64_t txns) {
+  ScenarioSpec spec;
+  EngineOptions& eo = spec.engine;
+  eo.num_items = cfg.num_items;
+  eo.network.base_delay = 5 * kMillisecond;
+  eo.network.jitter_mean = 2 * kMillisecond;
+  eo.backend = cfg.backend;
+  eo.pure_protocol = fixed;
+  eo.semi_locks = cfg.semi_locks;
+  eo.default_backoff_interval = cfg.backoff_interval;
+  eo.seed = cfg.seed;
+  if (cfg.backend == BackendKind::kPure &&
+      fixed == Protocol::kTimestampOrdering) {
+    eo.detector = DetectorKind::kNone;
+  }
+
+  switch (policy) {
+    case PolicyKind::kFixed:
+      spec.policy.kind = ScenarioPolicy::Kind::kFixed;
+      spec.policy.fixed = fixed;
+      break;
+    case PolicyKind::kMixedEven:
+      spec.policy.kind = ScenarioPolicy::Kind::kMix;
+      spec.policy.weights[0] = 1;
+      spec.policy.weights[1] = 1;
+      spec.policy.weights[2] = 1;
+      break;
+    case PolicyKind::kMinStl:
+      spec.policy.kind = ScenarioPolicy::Kind::kMinStl;
+      break;
+    case PolicyKind::kMinAvgTime:
+      spec.policy.kind = ScenarioPolicy::Kind::kMinAvgTime;
+      break;
+  }
+
+  WorkloadOptions wo;
+  wo.arrival_rate_per_sec = cfg.lambda;
+  wo.num_txns = txns;
+  wo.size_min = cfg.size_min;
+  wo.size_max = cfg.size_max;
+  wo.read_fraction = cfg.read_fraction;
+  wo.compute_time = cfg.compute_time;
+  WorkloadGenerator gen(wo, cfg.num_items, eo.num_user_sites,
+                        Rng(cfg.seed ^ 0x5bd1e995));
+  const std::vector<WorkloadGenerator::Arrival> arrivals = gen.Generate();
+
+  runner::RunRequest request;
+  request.spec = &spec;
+  request.arrivals = &arrivals;
+  return RunRequestOrDie(std::move(request));
+}
 
 // ---------------------------------------------------------------------------
 // Grid definition
@@ -98,21 +185,20 @@ void AddPureProtocolCells(Experiment* exp, const BenchConfig& base,
 }
 
 // E1: mean system time / throughput vs arrival rate lambda, per protocol.
-Experiment MakeE1(std::uint64_t txns) {
+Experiment MakeE1() {
   Experiment exp;
   exp.id = "e1";
   exp.description = "system time and throughput vs arrival rate lambda";
   for (double lambda : {10.0, 25.0, 50.0, 100.0, 150.0, 200.0, 250.0}) {
     BenchConfig cfg;
     cfg.lambda = lambda;
-    cfg.num_txns = txns;
     AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
   }
   return exp;
 }
 
 // E2: transaction size sweep, per protocol.
-Experiment MakeE2(std::uint64_t txns) {
+Experiment MakeE2() {
   Experiment exp;
   exp.id = "e2";
   exp.description = "system time vs transaction size st";
@@ -121,14 +207,46 @@ Experiment MakeE2(std::uint64_t txns) {
     cfg.lambda = 40;
     cfg.size_min = st;
     cfg.size_max = st;
-    cfg.num_txns = txns;
     AddPureProtocolCells(&exp, cfg, {NumParam("txn_size", st)});
   }
   return exp;
 }
 
+// E3: anomaly accounting per protocol under identical load (Theorem 3):
+// deadlocks only under 2PL, restarts only under T/O, back-offs only
+// under PA.
+Experiment MakeE3() {
+  Experiment exp;
+  exp.id = "e3";
+  exp.description = "deadlocks, restarts and back-offs per protocol";
+  BenchConfig cfg;
+  cfg.lambda = 150;
+  cfg.num_items = 40;
+  cfg.size_min = 3;
+  cfg.size_max = 5;
+  cfg.read_fraction = 0.3;
+  AddPureProtocolCells(&exp, cfg, {});
+  return exp;
+}
+
+// E4: communication cost vs load; cc_msgs_per_txn excludes the deadlock
+// detector's traffic.
+Experiment MakeE4() {
+  Experiment exp;
+  exp.id = "e4";
+  exp.description = "concurrency-control messages per txn vs lambda";
+  for (double lambda : {10.0, 30.0, 60.0, 100.0, 150.0, 200.0}) {
+    BenchConfig cfg;
+    cfg.lambda = lambda;
+    cfg.num_items = 120;
+    cfg.read_fraction = 0.3;
+    AddPureProtocolCells(&exp, cfg, {NumParam("lambda", lambda)});
+  }
+  return exp;
+}
+
 // E5: dynamic min-STL selection vs the static protocol choices.
-Experiment MakeE5(std::uint64_t txns) {
+Experiment MakeE5() {
   Experiment exp;
   exp.id = "e5";
   exp.description = "dynamic min-STL selection vs static protocols";
@@ -149,7 +267,6 @@ Experiment MakeE5(std::uint64_t txns) {
       Cell cell;
       cell.params = {NumParam("lambda", lambda), StrParam("policy", p.label)};
       cell.cfg.lambda = lambda;
-      cell.cfg.num_txns = txns;
       cell.cfg.backend = BackendKind::kUnified;
       cell.policy = p.kind;
       cell.fixed = p.fixed;
@@ -159,8 +276,77 @@ Experiment MakeE5(std::uint64_t txns) {
   return exp;
 }
 
+// E6: semi-locks vs locking every request, on an all-T/O population and
+// an even three-way mix (unified backend).
+Experiment MakeE6() {
+  Experiment exp;
+  exp.id = "e6";
+  exp.description = "semi-lock ablation: semi-locks vs lock-everything";
+  for (double lambda : {40.0, 80.0, 120.0}) {
+    for (bool all_to : {true, false}) {
+      for (bool semi : {true, false}) {
+        Cell cell;
+        cell.params = {NumParam("lambda", lambda),
+                       StrParam("population", all_to ? "all-to" : "mix"),
+                       StrParam("variant",
+                                semi ? "semi-locks" : "lock-everything")};
+        cell.cfg.lambda = lambda;
+        cell.cfg.num_items = 30;
+        cell.cfg.read_fraction = 0.6;
+        cell.cfg.compute_time = 10 * kMillisecond;
+        cell.cfg.semi_locks = semi;
+        if (all_to) {
+          cell.fixed = Protocol::kTimestampOrdering;
+        } else {
+          cell.policy = PolicyKind::kMixedEven;
+        }
+        exp.cells.push_back(std::move(cell));
+      }
+    }
+  }
+  return exp;
+}
+
+// E7: serializability of random three-way protocol mixes (Theorem 2)
+// across loads, hot sets and seeds; every cell must come out
+// serializable and replica-consistent.
+Experiment MakeE7() {
+  Experiment exp;
+  exp.id = "e7";
+  exp.description = "serializability sweep over protocol mixes and seeds";
+  struct Case {
+    const char* name;
+    double lambda;
+    ItemId items;
+    double reads;
+    bool semi;
+  };
+  const Case cases[] = {
+      {"low load, semi-locks", 10, 150, 0.5, true},
+      {"high load, semi-locks", 60, 60, 0.3, true},
+      {"hot items, semi-locks", 40, 24, 0.3, true},
+      {"high load, lock-everything", 60, 60, 0.3, false},
+      {"write-only, hot items", 35, 20, 0.0, true},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t s = 1; s <= 8; ++s) {
+      Cell cell;
+      cell.cfg.lambda = c.lambda;
+      cell.cfg.num_items = c.items;
+      cell.cfg.read_fraction = c.reads;
+      cell.cfg.semi_locks = c.semi;
+      cell.cfg.seed = s * 7919;
+      cell.params = {StrParam("config", c.name),
+                     NumParam("seed", static_cast<double>(cell.cfg.seed))};
+      cell.policy = PolicyKind::kMixedEven;
+      exp.cells.push_back(std::move(cell));
+    }
+  }
+  return exp;
+}
+
 // E9: PA back-off interval INT sweep.
-Experiment MakeE9(std::uint64_t txns) {
+Experiment MakeE9() {
   Experiment exp;
   exp.id = "e9";
   exp.description = "PA back-off interval INT sweep";
@@ -169,7 +355,6 @@ Experiment MakeE9(std::uint64_t txns) {
     cell.params = {NumParam("backoff_interval",
                             static_cast<double>(interval))};
     cell.cfg.lambda = 120;
-    cell.cfg.num_txns = txns;
     cell.cfg.backend = BackendKind::kPure;
     cell.cfg.backoff_interval = interval;
     cell.policy = PolicyKind::kFixed;
@@ -227,6 +412,20 @@ void WriteJsonString(std::FILE* f, const std::string& s) {
     }
   }
   std::fputc('"', f);
+}
+
+// Writes `"key": {"2pl": v, "to": v, "pa": v},` (keys are ProtocolTokens),
+// with `value(p)` printing protocol p's value.
+void WriteByProtocol(std::FILE* f, const char* key,
+                     const std::function<void(int)>& value) {
+  std::fprintf(f, "      \"%s\": {", key);
+  for (int p = 0; p < kNumProtocols; ++p) {
+    const std::string_view token = ProtocolToken(static_cast<Protocol>(p));
+    std::fprintf(f, "%s\"%.*s\": ", p == 0 ? "" : ", ",
+                 static_cast<int>(token.size()), token.data());
+    value(p);
+  }
+  std::fprintf(f, "},\n");
 }
 
 // Writes one experiment's results as BENCH_<id>.json. Schema per cell:
@@ -295,6 +494,16 @@ bool WriteReport(const std::string& id, const std::string& description,
     std::fprintf(f, "      \"backoff_rounds\": %llu,\n",
                  static_cast<unsigned long long>(s.backoff_rounds));
     std::fprintf(f, "      \"msgs_per_txn\": %.4f,\n", s.msgs_per_txn);
+    std::fprintf(f, "      \"cc_msgs_per_txn\": %.4f,\n", s.cc_msgs_per_txn);
+    // Per-protocol splits: only mixed and min-STL cells spread their
+    // commits over more than one protocol.
+    WriteByProtocol(f, "committed_by_protocol", [&](int p) {
+      std::fprintf(f, "%llu",
+                   static_cast<unsigned long long>(s.committed_by_proto[p]));
+    });
+    WriteByProtocol(f, "mean_response_ms_by_protocol", [&](int p) {
+      std::fprintf(f, "%.4f", s.mean_s_ms_by_proto[p]);
+    });
     // Overload-control outcomes (all zero unless the cell's scenario
     // engages the bounded admission gate / deadlines); goodput is the
     // commits-within-deadline count the nightly sweep plots.
@@ -325,6 +534,38 @@ bool WriteReport(const std::string& id, const std::string& description,
   std::printf("sweep_runner: wrote %s (%zu cells)\n", path.c_str(),
               cell_params.size());
   return true;
+}
+
+// The oracle gate: true iff every cell that ran (no entry in `errors`,
+// which WriteReport documents) is serializable and replica-consistent.
+// Each failing cell is named on stderr by its report and parameters.
+bool OraclesHold(const std::string& id,
+                 const std::vector<std::vector<Param>>& cell_params,
+                 const std::vector<RunStats>& results,
+                 const std::vector<std::string>& errors = {}) {
+  bool held = true;
+  for (std::size_t i = 0; i < cell_params.size(); ++i) {
+    const RunStats& s = results[i];
+    if ((!errors.empty() && !errors[i].empty()) ||
+        (s.serializable && s.replicas_consistent)) {
+      continue;
+    }
+    held = false;
+    std::fprintf(stderr, "sweep_runner: BENCH_%s cell %zu (", id.c_str(), i);
+    for (std::size_t p = 0; p < cell_params[i].size(); ++p) {
+      const Param& param = cell_params[i][p];
+      std::fprintf(stderr, "%s%s=", p == 0 ? "" : " ", param.key.c_str());
+      if (param.is_number) {
+        std::fprintf(stderr, "%g", param.num_value);
+      } else {
+        std::fprintf(stderr, "%s", param.str_value.c_str());
+      }
+    }
+    std::fprintf(stderr, "): serializable=%s replicas_consistent=%s\n",
+                 s.serializable ? "yes" : "no",
+                 s.replicas_consistent ? "yes" : "no");
+  }
+  return held;
 }
 
 // ---------------------------------------------------------------------------
@@ -465,7 +706,9 @@ int RunScenarioSweep(const std::string& scenario_path,
   const std::vector<RunStats> results =
       RunIndexed(total, num_threads, [&specs, &errors](std::size_t i) {
         if (!errors[i].empty()) return RunStats();  // recorded, not run
-        return RunScenario(specs[i]);
+        runner::RunRequest request;
+        request.spec = &specs[i];
+        return RunRequestOrDie(std::move(request));
       });
 
   const ScenarioSpec* base = first_ok < total ? &specs[first_ok] : nullptr;
@@ -484,7 +727,8 @@ int RunScenarioSweep(const std::string& scenario_path,
     std::fprintf(stderr, "sweep_runner: every cell failed validation\n");
     return 2;
   }
-  return wrote ? 0 : 1;
+  const bool held = OraclesHold(report_id, cell_params, results, errors);
+  return wrote && held ? 0 : 1;
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -512,7 +756,7 @@ void PrintHelp() {
   std::puts(
       "sweep_runner: parallel parameter sweeps over the paper's "
       "experiment grids\n"
-      "  --exp=e1,e2,e5,e9   comma list of experiments (default: all)\n"
+      "  --exp=e1,...,e7,e9  comma list of experiments (default: all)\n"
       "  --threads=<n>       worker threads (default: hardware, min 4)\n"
       "  --txns=<n>          transactions per cell (default: 300;\n"
       "                      built-in grids only)\n"
@@ -525,7 +769,9 @@ void PrintHelp() {
       "                      e.g. --sweep='class burst.rate=60,120'\n"
       "                      or --sweep=engine.seed=1,2,3)\n"
       "  --id=<name>         report name for scenario sweeps: writes\n"
-      "                      BENCH_<name>.json (default: scenario)");
+      "                      BENCH_<name>.json (default: scenario)\n"
+      "exit status: 0 ok; 1 if a report could not be written or a cell\n"
+      "that ran was not serializable or not replica-consistent; 2 usage");
 }
 
 }  // namespace
@@ -587,10 +833,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Experiment> experiments;
-  if (Selected(exp_list, "e1")) experiments.push_back(MakeE1(txns));
-  if (Selected(exp_list, "e2")) experiments.push_back(MakeE2(txns));
-  if (Selected(exp_list, "e5")) experiments.push_back(MakeE5(txns));
-  if (Selected(exp_list, "e9")) experiments.push_back(MakeE9(txns));
+  if (Selected(exp_list, "e1")) experiments.push_back(MakeE1());
+  if (Selected(exp_list, "e2")) experiments.push_back(MakeE2());
+  if (Selected(exp_list, "e3")) experiments.push_back(MakeE3());
+  if (Selected(exp_list, "e4")) experiments.push_back(MakeE4());
+  if (Selected(exp_list, "e5")) experiments.push_back(MakeE5());
+  if (Selected(exp_list, "e6")) experiments.push_back(MakeE6());
+  if (Selected(exp_list, "e7")) experiments.push_back(MakeE7());
+  if (Selected(exp_list, "e9")) experiments.push_back(MakeE9());
   if (experiments.empty()) {
     std::fprintf(stderr, "no experiments selected from '%s'\n",
                  exp_list.c_str());
@@ -609,10 +859,10 @@ int main(int argc, char** argv) {
   std::printf("sweep_runner: %zu cells across %zu experiments on %u threads\n",
               all_cells.size(), experiments.size(), num_threads);
 
-  const std::vector<RunStats> results =
-      RunIndexed(all_cells.size(), num_threads, [&all_cells](std::size_t i) {
+  const std::vector<RunStats> results = RunIndexed(
+      all_cells.size(), num_threads, [&all_cells, txns](std::size_t i) {
         return RunOne(all_cells[i].cfg, all_cells[i].policy,
-                      all_cells[i].fixed);
+                      all_cells[i].fixed, txns);
       });
 
   bool ok = true;
@@ -628,6 +878,7 @@ int main(int argc, char** argv) {
     ok = WriteReport(experiments[e].id, experiments[e].description,
                      cell_params, slice, out_dir, num_threads, txns) &&
          ok;
+    ok = OraclesHold(experiments[e].id, cell_params, slice) && ok;
   }
   return ok ? 0 : 1;
 }
