@@ -105,9 +105,9 @@ void BM_SerializabilityCheck(benchmark::State& state) {
   CommittedSet committed;
   for (TxnId t = 1; t <= records / 2; ++t) {
     log.Append(CopyId{static_cast<ItemId>((t * 7919) % copies), 1}, t, 1,
-               OpType::kRead, 0);
+               OpType::kRead);
     log.Append(CopyId{static_cast<ItemId>(t % copies), 1}, t, 1,
-               OpType::kWrite, 0);
+               OpType::kWrite);
     committed[t] = 1;
   }
   for (auto _ : state) {

@@ -16,7 +16,7 @@ void BasicToManager::GrantRead(const CopyId& copy, Timestamp ts, TxnId txn,
                                Attempt attempt, SiteId reply_to) {
   // A pure-T/O read is implemented at grant time; only committed
   // incarnations are kept by the serializability checker.
-  ctx_.log->Append(copy, txn, attempt, OpType::kRead, ctx_.sim->Now());
+  ctx_.log->Append(copy, txn, attempt, OpType::kRead);
   ++grants_sent_;
   if (hooks_.on_grant) {
     hooks_.on_grant(copy, OpType::kRead, Protocol::kTimestampOrdering);
@@ -94,8 +94,7 @@ void BasicToManager::Drain(const CopyId& copy, Copy& c) {
       Prewrite p = c.prewrites.front();
       c.prewrites.erase(c.prewrites.begin());
       store_.Write(copy, p.value);
-      ctx_.log->Append(copy, p.txn, p.attempt, OpType::kWrite,
-                       ctx_.sim->Now());
+      ctx_.log->Append(copy, p.txn, p.attempt, OpType::kWrite);
       changed = true;
     }
     const Timestamp min_pending =

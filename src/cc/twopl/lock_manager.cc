@@ -65,7 +65,7 @@ void TwoPlLockManager::OnRelease(const msg::Release& m) {
     if (it->txn == m.txn && it->attempt == m.attempt) {
       UNICC_CHECK_MSG(it->granted, "release for a non-granted 2PL request");
       if (m.has_write) store_.Write(m.copy, m.write_value);
-      ctx_.log->Append(m.copy, m.txn, m.attempt, it->op, ctx_.sim->Now());
+      ctx_.log->Append(m.copy, m.txn, m.attempt, it->op);
       q.entries.erase(it);
       TryGrant(m.copy, q);
       return;

@@ -236,7 +236,7 @@ void UnifiedQueueManager::TryGrant(const CopyId& copy, DataQueue& q) {
       // write is outstanding. Logging it at the commit-time transform
       // instead would misorder it against writes whose transforms reach
       // other copies first.
-      ctx_.log->Append(copy, e.txn, e.attempt, e.op, ctx_.sim->Now());
+      ctx_.log->Append(copy, e.txn, e.attempt, e.op);
       e.logged = true;
     }
     msg::Grant grant{e.txn, e.attempt, copy, e.normal, true,
@@ -270,7 +270,7 @@ void UnifiedQueueManager::ImplementEntry(const CopyId& copy, QueueEntry& e) {
   if (e.op == OpType::kWrite && e.has_write_value) {
     store_.Write(copy, e.write_value);
   }
-  ctx_.log->Append(copy, e.txn, e.attempt, e.op, ctx_.sim->Now());
+  ctx_.log->Append(copy, e.txn, e.attempt, e.op);
   e.logged = true;
 }
 

@@ -7,9 +7,8 @@ namespace unicc {
 const std::vector<LogRecord> ImplementationLog::kEmpty;
 
 void ImplementationLog::Append(const CopyId& copy, TxnId txn,
-                               std::uint32_t attempt, OpType op,
-                               SimTime when) {
-  logs_[copy].push_back(LogRecord{txn, attempt, op, when, next_seq_++});
+                               std::uint32_t attempt, OpType op) {
+  logs_[copy].push_back(LogRecord{txn, attempt, op, next_seq_++});
 }
 
 const std::vector<LogRecord>& ImplementationLog::LogOf(

@@ -24,7 +24,6 @@ struct LogRecord {
   TxnId txn = 0;
   std::uint32_t attempt = 1;
   OpType op = OpType::kRead;
-  SimTime when = 0;
   // Global sequence number assigned at append time; total order across all
   // copies for deterministic tie-breaking.
   std::uint64_t seq = 0;
@@ -34,8 +33,7 @@ struct LogRecord {
 class ImplementationLog {
  public:
   // Appends an implemented operation on `copy`.
-  void Append(const CopyId& copy, TxnId txn, std::uint32_t attempt, OpType op,
-              SimTime when);
+  void Append(const CopyId& copy, TxnId txn, std::uint32_t attempt, OpType op);
 
   // The log of one copy, in implementation order.
   const std::vector<LogRecord>& LogOf(const CopyId& copy) const;

@@ -20,6 +20,7 @@
 //       --sweep='class burst.rate=60,120,240' --sweep=engine.seed=1,2,3
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -142,6 +143,15 @@ Param NumParam(std::string key, double v) {
   p.num_value = v;
   p.is_number = true;
   return p;
+}
+
+// The shortest text that parses back to exactly `v` (std::to_chars), so
+// every value prints exactly: %g keeps only six significant digits
+// (4194304 -> 4.1943e+06).
+std::string FormatNumber(double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 Param StrParam(std::string key, std::string v) {
@@ -468,7 +478,7 @@ bool WriteReport(const std::string& id, const std::string& description,
       WriteJsonString(f, params[p].key);
       std::fprintf(f, ": ");
       if (params[p].is_number) {
-        std::fprintf(f, "%g", params[p].num_value);
+        std::fprintf(f, "%s", FormatNumber(params[p].num_value).c_str());
       } else {
         WriteJsonString(f, params[p].str_value);
       }
@@ -556,7 +566,7 @@ bool OraclesHold(const std::string& id,
       const Param& param = cell_params[i][p];
       std::fprintf(stderr, "%s%s=", p == 0 ? "" : " ", param.key.c_str());
       if (param.is_number) {
-        std::fprintf(stderr, "%g", param.num_value);
+        std::fprintf(stderr, "%s", FormatNumber(param.num_value).c_str());
       } else {
         std::fprintf(stderr, "%s", param.str_value.c_str());
       }
