@@ -108,7 +108,7 @@ void BM_SerializabilityCheck(benchmark::State& state) {
                OpType::kRead);
     log.Append(CopyId{static_cast<ItemId>(t % copies), 1}, t, 1,
                OpType::kWrite);
-    committed[t] = 1;
+    committed.emplace_back(t, 1);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(ConflictGraphChecker::Check(log, committed));

@@ -33,33 +33,31 @@ bool ParseShedPolicy(const std::string& token, ShedPolicy* out) {
 
 bool AdmissionGate::Offer(Entry e, Entry* shed) {
   if (entries_.size() < limit_) {
+    keys_.push_back(KeyOf(e));
     entries_.push_back(std::move(e));
     return true;
   }
+  std::size_t victim = entries_.size();  // sentinel: the incoming entry
   switch (policy_) {
     case ShedPolicy::kBlock:
       // The gate is never engaged under kBlock; treat a misuse as
       // drop-newest so behavior stays defined.
-    case ShedPolicy::kDropNewest: {
-      *shed = std::move(e);
-      return false;
-    }
+    case ShedPolicy::kDropNewest:
+      break;
     case ShedPolicy::kDropOldest: {
       // Evict the oldest entry among the lowest priority present; the
       // incoming arrival takes its place (even if it is itself low
       // priority — newest information wins within a class).
-      std::size_t victim = 0;
-      for (std::size_t i = 1; i < entries_.size(); ++i) {
-        const Entry& v = entries_[victim];
-        const Entry& c = entries_[i];
+      victim = 0;
+      for (std::size_t i = 1; i < keys_.size(); ++i) {
+        const Key& v = keys_[victim];
+        const Key& c = keys_[i];
         if (c.priority < v.priority ||
             (c.priority == v.priority && c.seq < v.seq)) {
           victim = i;
         }
       }
-      *shed = std::move(entries_[victim]);
-      entries_[victim] = std::move(e);
-      return false;
+      break;
     }
     case ShedPolicy::kDeadline: {
       // Shed the entry with the earliest absolute deadline — the work
@@ -67,42 +65,35 @@ bool AdmissionGate::Offer(Entry e, Entry* shed) {
       // 0) are treated as "infinitely patient" and never chosen over a
       // deadlined one; among equals the lower seq (older) loses first,
       // and the incoming arrival competes on the same terms.
-      std::size_t victim = entries_.size();  // sentinel: incoming
-      auto earlier = [](SimTime a_dl, std::uint64_t a_seq, SimTime b_dl,
-                        std::uint64_t b_seq) {
-        const SimTime a = a_dl == 0 ? ~SimTime(0) : a_dl;
-        const SimTime b = b_dl == 0 ? ~SimTime(0) : b_dl;
-        if (a != b) return a < b;
-        return a_seq < b_seq;
-      };
-      SimTime best_dl = e.deadline;
+      auto patience = [](SimTime dl) { return dl == 0 ? ~SimTime(0) : dl; };
+      SimTime best_dl = patience(e.deadline);
       std::uint64_t best_seq = e.seq;
-      for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (earlier(entries_[i].deadline, entries_[i].seq, best_dl,
-                    best_seq)) {
+      for (std::size_t i = 0; i < keys_.size(); ++i) {
+        const SimTime dl = patience(keys_[i].deadline);
+        if (dl < best_dl || (dl == best_dl && keys_[i].seq < best_seq)) {
           victim = i;
-          best_dl = entries_[i].deadline;
-          best_seq = entries_[i].seq;
+          best_dl = dl;
+          best_seq = keys_[i].seq;
         }
       }
-      if (victim == entries_.size()) {
-        *shed = std::move(e);
-        return false;
-      }
-      *shed = std::move(entries_[victim]);
-      entries_[victim] = std::move(e);
-      return false;
+      break;
     }
   }
-  *shed = std::move(e);
+  if (victim == entries_.size()) {
+    *shed = std::move(e);
+    return false;
+  }
+  *shed = std::move(entries_[victim]);
+  keys_[victim] = KeyOf(e);
+  entries_[victim] = std::move(e);
   return false;
 }
 
 std::size_t AdmissionGate::BestIndex() const {
   std::size_t best = 0;
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    const Entry& b = entries_[best];
-    const Entry& c = entries_[i];
+  for (std::size_t i = 1; i < keys_.size(); ++i) {
+    const Key& b = keys_[best];
+    const Key& c = keys_[i];
     if (c.priority > b.priority ||
         (c.priority == b.priority && c.seq < b.seq)) {
       best = i;
@@ -111,18 +102,26 @@ std::size_t AdmissionGate::BestIndex() const {
   return best;
 }
 
+void AdmissionGate::TakeAt(std::size_t i, Entry* out) {
+  *out = std::move(entries_[i]);
+  if (i + 1 != entries_.size()) {
+    keys_[i] = keys_.back();
+    entries_[i] = std::move(entries_.back());
+  }
+  keys_.pop_back();
+  entries_.pop_back();
+}
+
 AdmissionGate::Entry AdmissionGate::PopBest() {
-  const std::size_t i = BestIndex();
-  Entry out = std::move(entries_[i]);
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  Entry out;
+  TakeAt(BestIndex(), &out);
   return out;
 }
 
 bool AdmissionGate::Remove(std::uint64_t seq, Entry* out) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].seq == seq) {
-      *out = std::move(entries_[i]);
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i].seq == seq) {
+      TakeAt(i, out);
       return true;
     }
   }
@@ -131,6 +130,7 @@ bool AdmissionGate::Remove(std::uint64_t seq, Entry* out) {
 
 std::size_t AdmissionGate::Clear() {
   const std::size_t n = entries_.size();
+  keys_.clear();
   entries_.clear();
   return n;
 }

@@ -8,6 +8,11 @@
 //
 // The gate is pure data structure — no simulator access, no randomness —
 // so its behavior is a deterministic function of the offer/pop sequence.
+// Every pick (pop, shed victim, removal) scans a compact array of
+// (priority, deadline, seq) keys kept parallel to the entries, and entries
+// leave by swap-with-last in O(1). Each pick is a total order with the
+// unique seq as the final tie-breaker, so the storage order never decides
+// which entry is chosen.
 #ifndef UNICC_ENGINE_ADMISSION_H_
 #define UNICC_ENGINE_ADMISSION_H_
 
@@ -43,8 +48,7 @@ bool ParseShedPolicy(const std::string& token, ShedPolicy* out);
 
 // A bounded priority queue of parked arrivals. Pop order: highest
 // priority first, FIFO (admission sequence) within a priority. Linear
-// scans are fine: queue_limit is small (tens), and the gate is exercised
-// only under overload.
+// scans over the packed keys are fine: queue_limit is small (tens).
 class AdmissionGate {
  public:
   struct Entry {
@@ -57,6 +61,11 @@ class AdmissionGate {
     // Caller-assigned monotone sequence number; the FIFO tie-breaker and
     // the handle for Remove() (the caller keys expiry timers on it).
     std::uint64_t seq = 0;
+    // The caller's expiry-timer handle (a simulator event id; 0 = none).
+    // The gate only carries it: whoever takes the entry out — admission,
+    // shedding, Clear() — cancels the timer, so the timer fires only for
+    // an entry that is still parked.
+    std::uint64_t timer = 0;
   };
 
   AdmissionGate(std::uint32_t queue_limit, ShedPolicy policy)
@@ -83,11 +92,27 @@ class AdmissionGate {
   // Drops every parked entry (admission closed); returns how many.
   std::size_t Clear();
 
+  // The parked entries, in unspecified order (e.g. to cancel their timers
+  // before Clear()).
+  const std::vector<Entry>& entries() const { return entries_; }
+
  private:
+  // The fields every pick compares, packed apart from the ~140-byte
+  // entries so a scan touches one cache line per few entries.
+  struct Key {
+    std::uint64_t seq;
+    SimTime deadline;
+    std::uint32_t priority;
+  };
+
   std::size_t BestIndex() const;
+  // Moves entry `i` into `*out` and fills its hole with the last entry.
+  void TakeAt(std::size_t i, Entry* out);
+  static Key KeyOf(const Entry& e) { return {e.seq, e.deadline, e.priority}; }
 
   std::uint32_t limit_;
   ShedPolicy policy_;
+  std::vector<Key> keys_;  // keys_[i] describes entries_[i]
   std::vector<Entry> entries_;
 };
 

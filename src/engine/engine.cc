@@ -189,7 +189,7 @@ void Engine::BuildSites() {
     events.on_commit = [this](const TxnResult& r) {
       metrics_.OnCommit(r);
       if (timeline_ != nullptr) timeline_->OnCommit(r);
-      committed_[r.id] = r.attempts;
+      committed_.emplace_back(r.id, r.attempts);
       ++committed_count_;
       last_commit_ = sim_.Now();
       if (!txn_deadline_events_.empty()) {
@@ -522,31 +522,33 @@ void Engine::OfferToGate(Arrival arrival, std::uint32_t resubmits) {
     CheckQuiescent();
     return;
   }
-  const std::uint64_t seq = e.seq;
-  const SimTime deadline = e.deadline;
+  if (e.deadline != 0) {
+    // The entry carries its expiry timer; whichever path takes it out of
+    // the gate cancels it (see CancelGateTimer).
+    const std::uint64_t seq = e.seq;
+    e.timer =
+        sim_.ScheduleAt(e.deadline, [this, seq] { OnGateDeadline(seq); });
+  }
   AdmissionGate::Entry shed;
-  if (gate_->Offer(std::move(e), &shed)) {
-    if (deadline != 0) {
-      sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
-    }
-    return;
-  }
-  // Gate full: someone was shed. If the survivor is the incoming entry
-  // (drop_oldest, or deadline evicting a parked victim), arm its timer;
-  // the victim's own pending timer, if any, becomes a no-op.
-  if (shed.seq != seq && deadline != 0) {
-    sim_.ScheduleAt(deadline, [this, seq] { OnGateDeadline(seq); });
-  }
+  if (gate_->Offer(std::move(e), &shed)) return;
+  // Gate full: someone was shed — a parked victim, or the incoming entry.
   HandleShed(std::move(shed));
+}
+
+void Engine::CancelGateTimer(const AdmissionGate::Entry& e) {
+  if (e.timer != 0) sim_.Cancel(e.timer);
 }
 
 void Engine::AdmitFromGate() {
   while (gate_ != nullptr && !gate_->empty() && !InflightAtCap()) {
-    AdmitArrival(std::move(gate_->PopBest().arrival));
+    AdmissionGate::Entry e = gate_->PopBest();
+    CancelGateTimer(e);
+    AdmitArrival(std::move(e.arrival));
   }
 }
 
 void Engine::HandleShed(AdmissionGate::Entry shed) {
+  CancelGateTimer(shed);
   metrics_.OnShed();
   if (timeline_ != nullptr) timeline_->OnShed(sim_.Now());
   const EngineOptions::RunControls& rc = options_.run;
@@ -584,8 +586,11 @@ void Engine::HandleShed(AdmissionGate::Entry shed) {
 }
 
 void Engine::OnGateDeadline(std::uint64_t seq) {
+  // Every path that takes an entry out of the gate cancels its timer, so
+  // the entry is still parked.
   AdmissionGate::Entry e;
-  if (gate_ == nullptr || !gate_->Remove(seq, &e)) return;  // gone already
+  const bool parked = gate_->Remove(seq, &e);
+  UNICC_CHECK_MSG(parked, "gate timer outlived its entry");
   // Never admitted: counts as expired work in the metrics but not against
   // the drain invariant.
   metrics_.OnExpired();
@@ -595,7 +600,6 @@ void Engine::OnGateDeadline(std::uint64_t seq) {
 
 void Engine::OnTxnDeadline(TxnId id, SiteId home) {
   txn_deadline_events_.erase(id);
-  if (committed_.find(id) != committed_.end()) return;  // met it
   // Executing transactions are allowed to finish (mirrors the crash rule:
   // completing fully granted work cannot violate serializability).
   if (!IssuerAt(home)->Expire(id)) return;
@@ -619,7 +623,10 @@ void Engine::CloseAdmission() {
   admission_closed_ = true;
   // Parked work is dropped silently, like the deferred arrival: past the
   // commit target it would never be admitted anyway.
-  if (gate_ != nullptr) gate_->Clear();
+  if (gate_ != nullptr) {
+    for (const AdmissionGate::Entry& e : gate_->entries()) CancelGateTimer(e);
+    gate_->Clear();
+  }
   stream_.reset();
 }
 

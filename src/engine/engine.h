@@ -224,8 +224,12 @@ class Engine {
   void OfferToGate(Arrival arrival, std::uint32_t resubmits);
   // Pops parked arrivals into freed MPL slots (best-first).
   void AdmitFromGate();
-  // A shed victim: count it and schedule a re-submission when configured.
+  // A shed victim: cancel its expiry timer, count it and schedule a
+  // re-submission when configured.
   void HandleShed(AdmissionGate::Entry shed);
+  // Cancels the expiry timer of an entry leaving the gate (admitted, shed
+  // or dropped at close), so gate timers fire only for parked entries.
+  void CancelGateTimer(const AdmissionGate::Entry& e);
   // Expiry of a *parked* entry (never admitted: counts expired in metrics
   // but not against the drain invariant).
   void OnGateDeadline(std::uint64_t seq);

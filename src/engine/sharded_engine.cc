@@ -180,9 +180,9 @@ void ShardedEngine::MergeResults() {
       merged_timeline_->MergeFrom(*e->timeline());
     }
     merged_log_.MergeFrom(e->log());
-    for (const auto& [txn, attempts] : e->committed_set()) {
-      merged_committed_[txn] = attempts;
-    }
+    const CommittedSet& committed = e->committed_set();
+    merged_committed_.insert(merged_committed_.end(), committed.begin(),
+                             committed.end());
   }
 }
 

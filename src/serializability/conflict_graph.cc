@@ -109,6 +109,11 @@ SerializabilityReport ConflictGraphChecker::Check(
   std::vector<std::pair<TxnId, std::uint32_t>> ranked(committed.begin(),
                                                       committed.end());
   std::sort(ranked.begin(), ranked.end());
+  UNICC_CHECK_MSG(std::adjacent_find(ranked.begin(), ranked.end(),
+                                     [](const auto& a, const auto& b) {
+                                       return a.first == b.first;
+                                     }) == ranked.end(),
+                  "a transaction appears twice in the committed set");
   UNICC_CHECK(ranked.size() < kNone);
   const std::uint32_t n = static_cast<std::uint32_t>(ranked.size());
   const DenseIndex index(ranked);

@@ -6,7 +6,7 @@
 #define UNICC_SERIALIZABILITY_CONFLICT_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -25,14 +25,16 @@ struct SerializabilityReport {
   std::size_t num_edges = 0;
 };
 
-// The committed incarnation of each transaction (txn -> attempt). Log
-// records from other incarnations are ignored.
-using CommittedSet = std::unordered_map<TxnId, std::uint32_t>;
+// The committed incarnation of each transaction as (txn, attempt) pairs,
+// in any order (the engine appends one at each commit). A transaction
+// commits at most once, so no txn repeats. Log records from other
+// incarnations are ignored.
+using CommittedSet = std::vector<std::pair<TxnId, std::uint32_t>>;
 
 class ConflictGraphChecker {
  public:
   // Builds the conflict graph of the committed set from `log` and checks
-  // acyclicity.
+  // acyclicity. Aborts if `committed` names a transaction twice.
   static SerializabilityReport Check(const ImplementationLog& log,
                                      const CommittedSet& committed);
 };

@@ -62,20 +62,27 @@ void Simulator::HeapPush(HeapEntry entry) {
 
 void Simulator::SiftDown(std::size_t i, HeapEntry moved) {
   const std::size_t n = near_.size();
-  const HeapEntry* h = near_.data();
+  HeapEntry* h = near_.data();
   for (;;) {
     const std::size_t first = kArity * i + 1;
     if (first >= n) break;
     const std::size_t last = std::min(first + kArity, n);
+    // Least child by conditional moves, not a branch per sibling: which
+    // sibling wins is unpredictable, so such branches mispredict often.
+    // Keys are unique, so the pick is the same either way.
     std::size_t best = first;
+    unsigned __int128 best_key = h[first].key;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (h[c].Before(h[best])) best = c;
+      const unsigned __int128 key = h[c].key;
+      const bool less = key < best_key;
+      best = less ? c : best;
+      best_key = less ? key : best_key;
     }
-    if (!h[best].Before(moved)) break;
-    near_[i] = near_[best];
+    if (!(best_key < moved.key)) break;
+    h[i] = h[best];
     i = best;
   }
-  near_[i] = moved;
+  h[i] = moved;
 }
 
 void Simulator::HeapPopRoot() {
@@ -88,13 +95,32 @@ void Simulator::HeapPopRoot() {
 void Simulator::MigrateBand() {
   // Pick the next band: an eighth of the far pool's time span past its
   // minimum (at least one tick), so roughly an eighth of far_ migrates per
-  // call and a far event is rescanned a bounded number of times.
-  SimTime lo = static_cast<SimTime>(far_[0].key >> 64);
-  SimTime hi = lo;
-  for (const HeapEntry& e : far_) {
-    const SimTime w = static_cast<SimTime>(e.key >> 64);
-    lo = std::min(lo, w);
-    hi = std::max(hi, w);
+  // call and a far event is rescanned a bounded number of times. The near
+  // heap is empty here, so every cancelled placeholder sits in far_; when
+  // there are any, the same scan compacts them out and recycles their
+  // slots, and the span covers live events only.
+  SimTime lo = std::numeric_limits<SimTime>::max();
+  SimTime hi = 0;
+  if (dead_ == 0) {
+    for (const HeapEntry& e : far_) {
+      lo = std::min(lo, e.When());
+      hi = std::max(hi, e.When());
+    }
+  } else {
+    std::size_t kept = 0;
+    for (const HeapEntry& e : far_) {
+      const std::uint32_t idx = e.Slot();
+      if (!slots_[idx].fn) {
+        ReleaseSlot(idx);
+        continue;
+      }
+      lo = std::min(lo, e.When());
+      hi = std::max(hi, e.When());
+      far_[kept++] = e;
+    }
+    far_.resize(kept);
+    dead_ = 0;
+    if (far_.empty()) return;
   }
   const SimTime band = std::max<SimTime>((hi - lo) / 8, 1);
   if (lo > std::numeric_limits<SimTime>::max() - band) {
@@ -126,12 +152,16 @@ bool Simulator::Cancel(std::uint64_t event_id) {
   if (s.gen != gen || !s.fn) return false;
   s.fn.Reset();  // release captures now, not when the placeholder pops
   --live_;
+  ++dead_;
   return true;
 }
 
 bool Simulator::Step(SimTime until) {
   while (!near_.empty() || !far_.empty()) {
-    if (near_.empty()) MigrateBand();
+    if (near_.empty()) {
+      MigrateBand();  // may free the whole far pool if nothing live is left
+      continue;
+    }
     const HeapEntry top = near_[0];
     const std::uint32_t idx = top.Slot();
     Slot& s = slots_[idx];
@@ -139,6 +169,7 @@ bool Simulator::Step(SimTime until) {
       // Cancelled placeholder: free it whenever it surfaces.
       HeapPopRoot();
       ReleaseSlot(idx);
+      --dead_;
       continue;
     }
     const SimTime when = top.When();

@@ -9,9 +9,12 @@
 // in place via a small-buffer-optimized EventFn, constructed directly in
 // their slot.
 // Cancel() is an O(1) slot disarm: the callback is destroyed immediately
-// and only an inert placeholder stays in the heap until popped, so
-// PendingEvents() never counts cancelled events. Event ids carry a
-// generation tag, so a stale id can never cancel the slot's next tenant.
+// and only an inert placeholder stays queued, so PendingEvents() never
+// counts cancelled events. A placeholder is freed (its slot recycled) when
+// it surfaces at the top of the near heap or, for one still in the far
+// pool, at the next band migration — never moved into the near heap, and
+// never held until its cancelled time. Event ids carry a generation tag,
+// so a stale id can never cancel the slot's next tenant.
 #ifndef UNICC_SIM_SIMULATOR_H_
 #define UNICC_SIM_SIMULATOR_H_
 
@@ -65,7 +68,8 @@ class Simulator {
 
   // Cancels a pending event in O(1). Returns false if it already ran or
   // was cancelled. The callback is destroyed immediately (its captures are
-  // released); only an inert placeholder stays in the heap until popped.
+  // released); only an inert placeholder stays queued until it reaches the
+  // top of the near heap or the next band migration frees it.
   bool Cancel(std::uint64_t event_id);
 
   // Runs events until no live event remains at or before `until`. Events
@@ -87,10 +91,10 @@ class Simulator {
   static constexpr SimTime kNoPending = ~static_cast<SimTime>(0);
 
   // Earliest queued event time, or kNoPending when the queue is empty.
-  // Cancelled placeholders count: the result is a conservative lower bound
-  // on the next live event, which is what conservative window scheduling
-  // needs (RunUntil frees placeholders at the top, so progress is still
-  // guaranteed).
+  // Cancelled placeholders not yet freed count: the result is a
+  // conservative lower bound on the next live event, which is what
+  // conservative window scheduling needs (RunUntil frees placeholders as
+  // it meets them, so progress is still guaranteed).
   SimTime NextEventTime() const;
 
   // Total events executed so far (cancelled events never count).
@@ -141,15 +145,19 @@ class Simulator {
   // Shared sift-down of `moved` from hole `i` (pop path and Floyd
   // heapify in MigrateBand).
   void SiftDown(std::size_t i, HeapEntry moved);
-  // Refills the near heap from the far pool: picks the next time band,
-  // partitions far_ by it and heapifies the near side. Requires far_
-  // non-empty; guarantees near_ non-empty afterwards.
+  // Refills the near heap from the far pool: frees the cancelled
+  // placeholders (all in far_, since near_ is empty) when there are any,
+  // picks the next time band from the live rest, partitions far_ by it and
+  // heapifies the near side. Requires near_ empty and far_ non-empty;
+  // afterwards near_ is non-empty unless far_ held placeholders only (then
+  // both are empty).
   void MigrateBand();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
   std::size_t live_ = 0;
+  std::size_t dead_ = 0;     // cancelled placeholders still queued
   std::vector<Slot> slots_;  // slot arena, grows to peak load
   // Two-band event queue: events below `horizon_` live in the near
   // 8-ary min-heap (kept small, so sift depth stays shallow and

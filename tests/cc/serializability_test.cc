@@ -144,6 +144,16 @@ TEST(SerializabilityTest, WitnessOrderRespectsAllEdges) {
   EXPECT_LT(idx(3), idx(2));
 }
 
+// A transaction commits at most once; a committed set that names one twice
+// (two incarnations, say) is a bookkeeping bug, not a history to judge.
+TEST(SerializabilityDeathTest, RepeatedCommittedTxnAborts) {
+  ImplementationLog log;
+  log.Append(kX, 1, 1, OpType::kWrite);
+  log.Append(kX, 2, 1, OpType::kWrite);
+  const CommittedSet committed = {{2, 1}, {1, 1}, {2, 2}};
+  EXPECT_DEATH(ConflictGraphChecker::Check(log, committed), "appears twice");
+}
+
 // A forged log of `txns` committed transactions in serial order t = 1, 2,
 // ...: each reads one copy and writes another, appended in t order, so
 // every conflict edge points from a lower t to a higher one.
@@ -154,7 +164,7 @@ ImplementationLog ForgeSerialLog(TxnId txns, CommittedSet* committed) {
                OpType::kRead);
     log.Append(CopyId{static_cast<ItemId>(t % 1000), 2}, t, 1,
                OpType::kWrite);
-    (*committed)[t] = 1;
+    committed->emplace_back(t, 1);
   }
   return log;
 }
@@ -193,12 +203,21 @@ TEST(SerializabilityTest, BuriedTwoCycleFoundInLargeLog) {
 // ---------------------------------------------------------------------------
 
 using RefGraph = std::unordered_map<TxnId, std::unordered_set<TxnId>>;
+// The committed set as the hash map (txn -> attempt) the reference
+// checker, and the history generator below, look transactions up in.
+using CommittedMap = std::unordered_map<TxnId, std::uint32_t>;
+
+// The checker's input: the map's (txn, attempt) pairs in hash order, so
+// the checker must not rely on any order of its committed set.
+CommittedSet Flat(const CommittedMap& committed) {
+  return CommittedSet(committed.begin(), committed.end());
+}
 
 // The previous ConflictGraphChecker::Check, verbatim except that it also
 // hands out its adjacency (`graph`) so a reported cycle can be checked
 // against it.
 SerializabilityReport ReferenceCheck(const ImplementationLog& log,
-                                     const CommittedSet& committed,
+                                     const CommittedMap& committed,
                                      RefGraph* graph) {
   SerializabilityReport report;
 
@@ -352,7 +371,7 @@ std::vector<TxnId> SmallestPredecessorCycle(const RefGraph& graph) {
 
 struct RandomHistory {
   ImplementationLog log;
-  CommittedSet committed;
+  CommittedMap committed;
   bool sparse_ids = false;
 };
 
@@ -460,7 +479,7 @@ RandomHistory DrawHistory(Rng& rng) {
   return h;
 }
 
-bool Committed(const CommittedSet& committed, const LogRecord& r) {
+bool Committed(const CommittedMap& committed, const LogRecord& r) {
   auto it = committed.find(r.txn);
   return it != committed.end() && it->second == r.attempt;
 }
@@ -475,7 +494,7 @@ TEST(SerializabilityEquivalenceTest, MatchesReferenceOnRandomHistories) {
     const SerializabilityReport want =
         ReferenceCheck(h.log, h.committed, &graph);
     const SerializabilityReport got =
-        ConflictGraphChecker::Check(h.log, h.committed);
+        ConflictGraphChecker::Check(h.log, Flat(h.committed));
     ASSERT_EQ(got.serializable, want.serializable) << "draw " << k;
     ASSERT_EQ(got.num_txns, want.num_txns) << "draw " << k;
     ASSERT_EQ(got.num_edges, want.num_edges) << "draw " << k;

@@ -216,6 +216,60 @@ TEST(SimulatorTest, ArenaSlotsStaySteadyUnderConstantLoad) {
   EXPECT_EQ(sim.ArenaSlots(), warm);
 }
 
+// A resettable far-future timeout (the engine's gate and deadline timers):
+// each near event cancels the pending timeout and arms a new one kTimeout
+// ahead. The cancelled placeholders sit in the far pool; band migration
+// frees them and recycles their slots, so the arena stays near the band
+// size (~kTimeout / 8) instead of holding one slot per cancelled timer
+// until its time comes (~kTimeout). A reference queue of the live events
+// cross-checks execution order, the live count and NextEventTime().
+TEST(SimulatorTest, CancelledFarTimersAreFreedAtMigration) {
+  constexpr Duration kTimeout = 1000;
+  constexpr int kSteps = 20000;
+  Simulator sim;
+  std::map<std::pair<SimTime, std::uint64_t>, int> model;  // live events
+  std::uint64_t seq = 0;
+  std::uint64_t timeout_id = 0;
+  std::pair<SimTime, std::uint64_t> timeout_key;
+  bool timeout_armed = false;
+  int timeouts_fired = 0;
+  std::size_t peak_slots = 0;
+  std::function<void(int)> run;
+  auto schedule = [&](Duration delay, int tag) {
+    model.emplace(std::make_pair(sim.Now() + delay, seq++), tag);
+    return sim.Schedule(delay, [&run, tag] { run(tag); });
+  };
+  // Every event: it must be the reference queue's least (time, seq) live
+  // event; a chain step (tag >= 0) then resets the timeout (tag -1) and
+  // schedules the next step one tick ahead.
+  run = [&](int tag) {
+    ASSERT_FALSE(model.empty());
+    ASSERT_EQ(model.begin()->second, tag);
+    model.erase(model.begin());
+    if (tag < 0) {
+      ++timeouts_fired;
+      return;
+    }
+    if (timeout_armed) {
+      ASSERT_TRUE(sim.Cancel(timeout_id));
+      model.erase(timeout_key);
+    }
+    timeout_key = {sim.Now() + kTimeout, seq};
+    timeout_id = schedule(kTimeout, -1);
+    timeout_armed = true;
+    if (tag + 1 < kSteps) schedule(1, tag + 1);
+    ASSERT_EQ(sim.PendingEvents(), model.size());
+    ASSERT_LE(sim.NextEventTime(), model.begin()->first.first);
+    peak_slots = std::max(peak_slots, sim.ArenaSlots());
+  };
+  schedule(1, 0);
+  sim.RunToCompletion();
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(timeouts_fired, 1);  // only the last timeout is never reset
+  EXPECT_EQ(sim.EventsRun(), static_cast<std::uint64_t>(kSteps) + 1);
+  EXPECT_LT(peak_slots, static_cast<std::size_t>(kTimeout) / 4);
+}
+
 // Model-based check of the banded event queue: random schedule / cancel /
 // run interleavings must execute events in exactly the (time, seq) order a
 // naive reference queue produces.

@@ -9,11 +9,20 @@
 // [run]/[class] keys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "engine/admission.h"
+#include "engine/engine.h"
 #include "runner/runner.h"
 #include "scenario/scenario.h"
+#include "test_util.h"
+#include "workload/stream.h"
 
 namespace unicc {
 namespace {
@@ -128,6 +137,192 @@ TEST(AdmissionGateTest, RemoveBySequenceAndClear) {
   EXPECT_FALSE(gate.Remove(99, &out));
   EXPECT_EQ(gate.Clear(), 2u);
   EXPECT_TRUE(gate.empty());
+}
+
+// Model test: random Offer / PopBest / Remove / Clear sequences against a
+// reference that keeps the parked entries in three ordered sets, one per
+// pick rule (pop: highest priority then oldest; drop_oldest victim:
+// lowest priority then oldest; deadline victim: earliest deadline, 0 last,
+// then oldest). Every returned entry must be the one the rule names, with
+// its payload intact (the gate stores keys and entries in parallel arrays
+// and removes by swap-with-last, so a desync would show here).
+struct GateModel {
+  using Key = std::pair<std::uint64_t, std::uint64_t>;  // (rank, seq)
+  std::map<std::uint64_t, AdmissionGate::Entry> parked;  // by seq
+  std::set<Key> pop_order;     // (~priority, seq)
+  std::set<Key> oldest_order;  // (priority, seq)
+  std::set<Key> deadline_order;  // (deadline or ~0, seq)
+
+  static std::uint64_t Patience(SimTime dl) { return dl == 0 ? ~SimTime{0} : dl; }
+  void Add(const AdmissionGate::Entry& e) {
+    parked[e.seq] = e;
+    pop_order.insert({~std::uint64_t{e.priority}, e.seq});
+    oldest_order.insert({e.priority, e.seq});
+    deadline_order.insert({Patience(e.deadline), e.seq});
+  }
+  AdmissionGate::Entry Take(std::uint64_t seq) {
+    const AdmissionGate::Entry e = parked.at(seq);
+    parked.erase(seq);
+    pop_order.erase({~std::uint64_t{e.priority}, e.seq});
+    oldest_order.erase({e.priority, e.seq});
+    deadline_order.erase({Patience(e.deadline), e.seq});
+    return e;
+  }
+};
+
+// The payload fields the gate never looks at, derived from seq so a
+// returned entry can be checked whole.
+AdmissionGate::Entry ModelEntry(std::uint64_t seq, Rng& rng) {
+  AdmissionGate::Entry e =
+      E(seq, static_cast<std::uint32_t>(rng.UniformInt(4)),
+        rng.Bernoulli(0.2) ? 0 : 1 + rng.UniformInt(40));
+  e.arrival.spec.id = seq * 3 + 1;
+  e.arrival.spec.write_set = {static_cast<ItemId>(seq % 97)};
+  e.resubmits = static_cast<std::uint32_t>(seq % 5);
+  e.timer = seq * 7 + 2;
+  return e;
+}
+
+void ExpectSameEntry(const AdmissionGate::Entry& got,
+                     const AdmissionGate::Entry& want) {
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.priority, want.priority);
+  EXPECT_EQ(got.deadline, want.deadline);
+  EXPECT_EQ(got.resubmits, want.resubmits);
+  EXPECT_EQ(got.timer, want.timer);
+  EXPECT_EQ(got.arrival.spec.id, want.arrival.spec.id);
+  EXPECT_EQ(got.arrival.spec.write_set, want.arrival.spec.write_set);
+}
+
+TEST(AdmissionGateTest, RandomOpsMatchReferenceModel) {
+  for (ShedPolicy policy : {ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
+                            ShedPolicy::kDeadline}) {
+    SCOPED_TRACE(ShedPolicyToken(policy));
+    constexpr std::uint32_t kLimit = 12;
+    AdmissionGate gate(kLimit, policy);
+    GateModel model;
+    Rng rng(0x5eed + static_cast<std::uint64_t>(policy));
+    std::uint64_t next_seq = 1;
+    int sheds = 0;
+    int incoming_shed = 0;
+    for (int step = 0; step < 12000; ++step) {
+      const std::uint64_t action = rng.UniformInt(100);
+      if (action < 60) {
+        const AdmissionGate::Entry e = ModelEntry(next_seq++, rng);
+        AdmissionGate::Entry shed;
+        const bool parked = gate.Offer(e, &shed);
+        if (model.parked.size() < kLimit) {
+          ASSERT_TRUE(parked);
+          model.Add(e);
+        } else {
+          ASSERT_FALSE(parked);
+          ++sheds;
+          // The victim the policy names; the incoming entry competes only
+          // under kDeadline and is the victim under kDropNewest.
+          std::uint64_t victim = e.seq;
+          if (policy == ShedPolicy::kDropOldest) {
+            victim = model.oldest_order.begin()->second;
+          } else if (policy == ShedPolicy::kDeadline) {
+            const GateModel::Key in{GateModel::Patience(e.deadline), e.seq};
+            if (*model.deadline_order.begin() < in) {
+              victim = model.deadline_order.begin()->second;
+            }
+          }
+          if (victim == e.seq) {
+            ++incoming_shed;
+            ExpectSameEntry(shed, e);
+          } else {
+            ExpectSameEntry(shed, model.Take(victim));
+            model.Add(e);
+          }
+        }
+      } else if (action < 80) {
+        if (model.parked.empty()) continue;
+        ExpectSameEntry(gate.PopBest(),
+                        model.Take(model.pop_order.begin()->second));
+      } else if (action < 98) {
+        // A parked seq, or one that left already / never existed.
+        std::uint64_t seq = 1 + rng.UniformInt(next_seq + 2);
+        if (!model.parked.empty() && rng.Bernoulli(0.7)) {
+          auto it = model.parked.begin();
+          std::advance(it, static_cast<long>(rng.UniformInt(model.parked.size())));
+          seq = it->first;
+        }
+        AdmissionGate::Entry out;
+        const bool found = gate.Remove(seq, &out);
+        ASSERT_EQ(found, model.parked.count(seq) == 1) << "seq " << seq;
+        if (found) ExpectSameEntry(out, model.Take(seq));
+      } else {
+        ASSERT_EQ(gate.Clear(), model.parked.size());
+        while (!model.parked.empty()) model.Take(model.parked.begin()->first);
+      }
+      ASSERT_EQ(gate.size(), model.parked.size()) << "step " << step;
+      ASSERT_EQ(gate.empty(), model.parked.empty());
+      std::vector<std::uint64_t> held;
+      for (const AdmissionGate::Entry& e : gate.entries()) held.push_back(e.seq);
+      std::sort(held.begin(), held.end());
+      std::vector<std::uint64_t> want;
+      for (const auto& [seq, e] : model.parked) want.push_back(seq);
+      ASSERT_EQ(held, want) << "step " << step;
+    }
+    EXPECT_GT(sheds, 1000);
+    // Both outcomes of a full gate are exercised where the policy has both.
+    if (policy == ShedPolicy::kDropNewest) {
+      EXPECT_EQ(incoming_shed, sheds);
+    } else if (policy == ShedPolicy::kDropOldest) {
+      EXPECT_EQ(incoming_shed, 0);
+    } else {
+      EXPECT_GT(incoming_shed, 100);
+      EXPECT_LT(incoming_shed, sheds - 100);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Gate expiry timers in a live engine.
+
+// Arrivals A, B, C one microsecond apart into a gate with one MPL slot and
+// one parking place: A is admitted, B parks, C finds the gate full and the
+// policy sheds B or C. The survivor is admitted when A commits. Every
+// deadline is 10 s away, far past the few milliseconds the run needs, so
+// no expiry should ever fire: once each entry has left the gate (admitted
+// or shed) its expiry timer must no longer be pending, and the queue is
+// empty long before the deadlines.
+TEST(GateTimerTest, LeavingTheGateCancelsTheExpiryTimer) {
+  for (ShedPolicy policy : {ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
+                            ShedPolicy::kDeadline}) {
+    SCOPED_TRACE(ShedPolicyToken(policy));
+    EngineOptions eo = test::SmallEngine();
+    eo.detector = DetectorKind::kNone;
+    eo.run.max_inflight = 1;
+    eo.run.queue_limit = 1;
+    eo.run.shed_policy = policy;
+    Engine engine(eo);
+    std::vector<Arrival> arrivals;
+    for (TxnId id = 1; id <= 3; ++id) {
+      Arrival a;
+      a.when = static_cast<SimTime>(id - 1);
+      a.spec.id = id;
+      a.spec.home = 0;
+      a.spec.write_set = {static_cast<ItemId>(id)};
+      a.spec.compute_time = kMillisecond;
+      a.spec.deadline = 10 * kSecond;
+      arrivals.push_back(std::move(a));
+    }
+    engine.SetArrivalStream(MakeVectorStream(std::move(arrivals)));
+    Simulator& sim = engine.simulator();
+    sim.RunUntil(2);  // all three offered; the survivor's timer is armed
+    ASSERT_EQ(engine.admitted(), 1u);
+    ASSERT_GT(sim.PendingEvents(), 0u);
+    sim.RunUntil(1 * kSecond);
+    EXPECT_EQ(engine.committed_count(), 2u);
+    EXPECT_EQ(sim.PendingEvents(), 0u);
+    EXPECT_EQ(sim.NextEventTime(), Simulator::kNoPending);
+    const RunSummary s = engine.Run();
+    EXPECT_EQ(s.committed, 2u);
+    EXPECT_EQ(s.shed, 1u);
+    EXPECT_EQ(s.expired, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------

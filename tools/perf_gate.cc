@@ -28,7 +28,9 @@
 //   overload_run       the bounded-admission scenario at 2x offered load
 //                      (deadline shedding + retry backoff); its exact
 //                      digest, overload_digest, additionally folds the
-//                      shed/expired/retried/goodput counters
+//                      shed/expired/retried/goodput counters, and its
+//                      simulator events per committed transaction,
+//                      overload_events_per_txn, are gated exactly
 //   macro_run          the macro-tier [table] scenario (2M-item YCSB mix)
 //                      as authored; its exact digest, macro_digest, pins
 //                      the table layout, scan machinery and the
@@ -45,12 +47,14 @@
 // Wall-clock rates are machine-dependent, so the gate uses a tolerance
 // band (default: fail below 0.5x baseline) — wide enough for runner
 // variance, tight enough to catch a reintroduced per-event allocation or
-// an accidental O(n^2). Two machine-independent invariants are checked
-// exactly: the scenario result digest (the simulation is deterministic;
-// any digest change means results changed, not just speed) and the
+// an accidental O(n^2). Machine-independent invariants are checked
+// exactly: the scenario result digests (the simulation is deterministic;
+// any digest change means results changed, not just speed), the
 // steady-state arena property (the event loop must not grow its slot
-// arena while load is constant). See docs/performance.md for how to
-// refresh the baseline.
+// arena while load is constant) and the overload run's events per
+// committed transaction (a work counter: events that do no work, such as
+// timers that outlive their purpose, move it while every digest stays
+// put). See docs/performance.md for how to refresh the baseline.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -419,8 +423,8 @@ std::uint64_t DigestOverloadStats(const runner::RunStats& s) {
 // Runs `spec` through the runner facade. A spec that loads but cannot be
 // assembled (e.g. a shard/site partition the runner rejects) fails the
 // kernel `name` instead of aborting the gate.
-std::optional<runner::RunStats> RunSpec(const char* name,
-                                        const ScenarioSpec& spec) {
+std::optional<runner::RunReport> RunSpec(const char* name,
+                                         const ScenarioSpec& spec) {
   runner::RunRequest request;
   request.spec = &spec;
   auto session = runner::RunSession::Create(std::move(request));
@@ -429,7 +433,7 @@ std::optional<runner::RunStats> RunSpec(const char* name,
                  session.status().ToString().c_str());
     return std::nullopt;
   }
-  return (*session)->Run().stats;
+  return (*session)->Run();
 }
 
 // Shared scenario-kernel recipe: load `path`, scale the main class to
@@ -470,13 +474,13 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   }
   const std::uint64_t expected = spec->TotalTxns();
   const double start = NowSeconds();
-  const std::optional<runner::RunStats> run = RunSpec(name, *spec);
+  const std::optional<runner::RunReport> run = RunSpec(name, *spec);
   const double elapsed = NowSeconds() - start;
   if (!run) {
     *ok = false;
     return r;
   }
-  const runner::RunStats& stats = *run;
+  const runner::RunStats& stats = run->stats;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   r.run_s = stats.run_s;
   r.verify_s = stats.verify_s;
@@ -500,9 +504,12 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
 // kernels, shed work never commits, so committed < txns by design; the
 // run is instead required to actually shed and to stay serializable and
 // replica-consistent, and its digest (DigestOverloadStats) pins every
-// overload counter exactly.
+// overload counter exactly. `*events_per_txn` receives simulator events
+// per committed transaction, printed to six decimals: a deterministic
+// work counter, compared as text against the baseline.
 KernelResult KernelOverloadRun(const std::string& path,
-                               std::uint64_t* digest, bool* ok) {
+                               std::uint64_t* digest,
+                               std::string* events_per_txn, bool* ok) {
   KernelResult r;
   r.name = "overload_run";
   r.items = "txns";
@@ -514,17 +521,25 @@ KernelResult KernelOverloadRun(const std::string& path,
     return r;
   }
   const double start = NowSeconds();
-  const std::optional<runner::RunStats> run = RunSpec(r.name.c_str(), *spec);
+  const std::optional<runner::RunReport> run =
+      RunSpec(r.name.c_str(), *spec);
   const double elapsed = NowSeconds() - start;
   if (!run) {
     *ok = false;
     return r;
   }
-  const runner::RunStats& stats = *run;
+  const runner::RunStats& stats = run->stats;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
   r.run_s = stats.run_s;
   r.verify_s = stats.verify_s;
   *digest = DigestOverloadStats(stats);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6f",
+                stats.committed == 0
+                    ? 0.0
+                    : static_cast<double>(run->events_run) /
+                          static_cast<double>(stats.committed));
+  *events_per_txn = buf;
   if (stats.shed == 0 || !stats.serializable ||
       !stats.replicas_consistent) {
     std::fprintf(stderr,
@@ -548,6 +563,7 @@ void WriteReport(const std::string& path,
                  std::uint64_t sharded_digest, std::uint64_t faulty_digest,
                  std::uint64_t overload_digest, std::uint64_t macro_digest,
                  std::uint64_t trace_digest,
+                 const std::string& overload_events_per_txn,
                  const std::string& scenario,
                  const std::string& sharded_scenario,
                  const std::string& faulty_scenario,
@@ -573,6 +589,7 @@ void WriteReport(const std::string& path,
                "  \"overload_digest\": \"%016llx\",\n"
                "  \"macro_digest\": \"%016llx\",\n"
                "  \"trace_digest\": \"%016llx\",\n"
+               "  \"overload_events_per_txn\": %s,\n"
                "  \"kernels\": [\n",
                scenario.c_str(), sharded_scenario.c_str(),
                faulty_scenario.c_str(), overload_scenario.c_str(),
@@ -583,7 +600,8 @@ void WriteReport(const std::string& path,
                static_cast<unsigned long long>(faulty_digest),
                static_cast<unsigned long long>(overload_digest),
                static_cast<unsigned long long>(macro_digest),
-               static_cast<unsigned long long>(trace_digest));
+               static_cast<unsigned long long>(trace_digest),
+               overload_events_per_txn.c_str());
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"items\": \"%s\", "
@@ -616,6 +634,7 @@ struct Baseline {
   bool has_macro_digest = false;
   std::uint64_t trace_digest = 0;
   bool has_trace_digest = false;
+  std::string overload_events_per_txn;  // empty when absent
 };
 
 bool LoadBaseline(const std::string& path, Baseline* out) {
@@ -667,6 +686,12 @@ bool LoadBaseline(const std::string& path, Baseline* out) {
     out->trace_digest =
         std::strtoull(text.c_str() + p + tkey.size(), nullptr, 16);
     out->has_trace_digest = true;
+  }
+  const std::string ekey = "\"overload_events_per_txn\": ";
+  if (std::size_t p = text.find(ekey); p != std::string::npos) {
+    p += ekey.size();
+    out->overload_events_per_txn =
+        text.substr(p, text.find_first_of(",\n", p) - p);
   }
   const std::string nkey = "\"name\": \"";
   const std::string vkey = "\"items_per_sec\": ";
@@ -807,7 +832,9 @@ int main(int argc, char** argv) {
                                       faulty_path, faulty_txns,
                                       &faulty_digest, &ok));
   std::uint64_t overload_digest = 0;
-  kernels.push_back(KernelOverloadRun(overload_path, &overload_digest, &ok));
+  std::string overload_events_per_txn;
+  kernels.push_back(KernelOverloadRun(overload_path, &overload_digest,
+                                      &overload_events_per_txn, &ok));
   // The macro-tier kernel runs its [table] scenario as authored (its
   // millions of items are the point; a txn multiplier would only slow the
   // suite): wall-clock txns/sec is banded like the other kernels and
@@ -858,6 +885,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(macro_digest));
   std::printf("trace_digest       %016llx\n",
               static_cast<unsigned long long>(trace_digest));
+  std::printf("overload_events_per_txn %s\n", overload_events_per_txn.c_str());
 
   // The 1/2/4/8-shard scaling curve on the partitioned macro scenario.
   // Informational, never gated: wall-clock speedup depends on the number
@@ -971,6 +999,16 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(macro_digest));
       ok = false;
     }
+    if (!base.overload_events_per_txn.empty() &&
+        base.overload_events_per_txn != overload_events_per_txn) {
+      std::fprintf(stderr,
+                   "perf_gate: FAIL overload events per committed txn "
+                   "changed (%s -> %s): the overload run schedules "
+                   "different work than the baseline build\n",
+                   base.overload_events_per_txn.c_str(),
+                   overload_events_per_txn.c_str());
+      ok = false;
+    }
     if (base.has_trace_digest && base.trace_digest != trace_digest) {
       std::fprintf(stderr,
                    "perf_gate: FAIL trace digest changed "
@@ -987,7 +1025,7 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     WriteReport(out_path, kernels, digest, stream_digest, sharded_digest,
                 faulty_digest, overload_digest, macro_digest, trace_digest,
-                scenario_path, sharded_path, faulty_path, overload_path,
+                overload_events_per_txn, scenario_path, sharded_path, faulty_path, overload_path,
                 macro_path);
   }
   return ok ? 0 : 1;
